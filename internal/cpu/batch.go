@@ -120,7 +120,8 @@ func (m *Machine) RunBatch(ctx context.Context, groups [][]isa.Source, chipsPer 
 	idx := 0
 	for g, srcs := range groups {
 		gi := idx
-		cores := m.cores[g*chipsPer*cpc : (g+1)*chipsPer*cpc]
+		lo, hi := g*chipsPer*cpc, (g+1)*chipsPer*cpc
+		cores := m.cores[lo:hi]
 		k := 0
 		for _, core := range cores {
 			for ci := 0; ci < core.active; ci++ {
@@ -139,7 +140,9 @@ func (m *Machine) RunBatch(ctx context.Context, groups [][]isa.Source, chipsPer 
 			}
 		}
 		m.activeCores += (len(srcs) + m.smtLevel - 1) / m.smtLevel
-		doms[g] = domain{cores: cores, threads: m.threadCtx[gi:idx], now: m.now}
+		// The live list gets the group's own liveBuf slots, capped so no
+		// group can grow into its neighbour's.
+		doms[g] = domain{cores: cores, live: m.liveBuf[lo:hi:hi], threads: m.threadCtx[gi:idx], now: m.now}
 	}
 	for _, core := range m.cores[len(groups)*chipsPer*cpc:] {
 		for _, cc := range core.contexts {

@@ -30,7 +30,9 @@ const (
 	benchSlice = 125_000
 )
 
-func benchPair(b *testing.B, bench string, smt int) {
+// benchPair measures one cell: threads software threads of bench (0 fills
+// every hardware context) on a one-chip POWER7 at the given SMT level.
+func benchPair(b *testing.B, bench string, smt, threads int) {
 	b.Helper()
 	spec, err := workload.Get(bench)
 	if err != nil {
@@ -60,7 +62,11 @@ func benchPair(b *testing.B, bench string, smt int) {
 		b.StopTimer()
 		var srcs [2][]isa.Source
 		for e, m := range machines {
-			inst, err := workload.Instantiate(spec, m.HardwareThreads(), uint64(i)+1)
+			n := threads
+			if n == 0 {
+				n = m.HardwareThreads()
+			}
+			inst, err := workload.Instantiate(spec, n, uint64(i)+1)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -99,17 +105,28 @@ func benchPair(b *testing.B, bench string, smt int) {
 
 // BenchmarkEngine spans the workload classes the event engine must win on
 // (memory-bound CG and Canneal) and must not lose badly on (compute-bound
-// EP, barrier-spinning MG, lock-and-sleep-heavy Dedup), at SMT 1/2/4.
+// EP, barrier-spinning MG, lock-and-sleep-heavy Dedup), at SMT 1/2/4 on a
+// full machine. The pair/<bench> cells run two threads of one workload on
+// the one-chip machine at SMT4 — the co-run shape placement.Engine scores
+// every workload pair with, where seven of the chip's eight cores hold no
+// thread.
 func BenchmarkEngine(b *testing.B) {
 	for _, bench := range []string{"EP", "CG", "MG", "Canneal", "Dedup"} {
 		b.Run(bench, func(b *testing.B) {
 			for _, smt := range []int{1, 2, 4} {
 				b.Run("smt"+string(rune('0'+smt)), func(b *testing.B) {
-					benchPair(b, bench, smt)
+					benchPair(b, bench, smt, 0)
 				})
 			}
 		})
 	}
+	b.Run("pair", func(b *testing.B) {
+		for _, bench := range []string{"CG", "EP", "Dedup", "Canneal"} {
+			b.Run(bench, func(b *testing.B) {
+				benchPair(b, bench, 4, 2)
+			})
+		}
+	})
 }
 
 // BenchmarkSteadyState is the allocation gate: the pooled, warmed-up run

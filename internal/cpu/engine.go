@@ -55,6 +55,22 @@ import (
 //     thread asleep with a future wake hint) are "frozen": the scan
 //     engine's idleSkip jumps the clock without stepping, so no pointers
 //     rotate and nothing accrues.
+//
+// Live cores: the run loop steps, schedules and macro-steps only the
+// domain's live-core list (domain.live) — the cores with at least one
+// unfinished context, in d.cores order. A core without one (never
+// populated, or its last context finished) can change nothing but its
+// round-robin pointers: it holds no fetchable thread, no fetch buffer and
+// no in-flight instruction of this run, and touches no cache or DRAM, so
+// skipping it leaves every live core's view of the chip as the scan
+// engine's. Such a core keeps its lastStepped and nextEvent = neverEvent,
+// and settleCores, which walks every core, credits its rotation when the
+// run exits, like any other pending skip. The pure-sleep freeze also walks
+// every core: the scan engine rotates no pointer across a frozen stretch,
+// so every core's lastStepped must move past it. A core whose last context
+// finishes leaves the list in a stable in-place compaction after the
+// round's loop, so the survivors keep d.cores order — the order the stages
+// run in per cycle, and so the order of shared L3 and DRAM accesses.
 
 // neverEvent marks a core with no scheduled event (all contexts finished,
 // or progress only possible through another context's action).
@@ -66,8 +82,8 @@ const neverEvent = int64(1) << 62
 // end-of-work boundary inside the run — the engine retires a whole stretch
 // of cycles in one bulk update (macroStep) instead of running the per-cycle
 // event bookkeeping. The macro loop executes the exact per-cycle stage
-// sequence the scan engine runs (retire, issue, dispatch, fetch, per core
-// in domain order), so the microarchitectural simulation is bit-identical
+// sequence the scan engine runs (retire, issue, dispatch, fetch, per live
+// core in domain order), so the microarchitectural simulation is bit-identical
 // by construction; what it elides is the event-engine overhead around it —
 // next-event computation, the merged end-of-cycle flag pass, and the
 // round-loop scheduling — plus the scan engine's endCycle/anyBusy passes,
@@ -86,10 +102,10 @@ const neverEvent = int64(1) << 62
 // The event-horizon check gating entry (runEvent) is conservative on every
 // axis: the machine must be busy with no probed-idle context anywhere
 // (sawProbe — external wakes and probe-timing observability stay on the
-// exact path), every core must be due next cycle or fully finished
-// (allHot — anything with a scheduled future event falls back to the exact
-// loop), the span is capped by the cycle deadline so ErrCycleLimit cuts at
-// the identical cycle, and a warmup streak (macroWarmup) keeps
+// exact path), every live core must be due within the hot horizon (allHot
+// — anything with a distant future event falls back to the exact loop),
+// the span is capped by the cycle deadline so ErrCycleLimit cuts at the
+// identical cycle, and a warmup streak (macroWarmup) keeps
 // stall-skipping workloads — where the event engine profits from NOT
 // stepping — off the macro path. Spans are chunked (macroChunk) so the
 // guarantee and the horizon are re-checked from fresh state every few dozen
@@ -143,14 +159,24 @@ func (c *Core) macroRun() int64 {
 	return run
 }
 
-// allHot reports whether every core is due to step within the hot horizon
-// or has no scheduled event at all (with no probed-idle context in the
-// machine, the latter means fully finished). A core with a distant future
+// alive reports whether any active context on the core holds an
+// unfinished thread: membership of the domain's live-core list.
+func (c *Core) alive() bool {
+	for i := 0; i < c.active; i++ {
+		if !c.contexts[i].finished {
+			return true
+		}
+	}
+	return false
+}
+
+// allHot reports whether every live core is due to step within the hot
+// horizon or has no scheduled event at all. A core with a distant future
 // event — a pending DRAM completion, a fetch-redirect expiry — makes the
 // domain non-hot: the event engine profits from skipping toward that
 // event, so macro-stepping stays out of the way.
 func (d *domain) allHot() bool {
-	for _, c := range d.cores {
+	for _, c := range d.live {
 		if c.nextEvent > d.now+macroHotHorizon && c.nextEvent != neverEvent {
 			return false
 		}
@@ -165,7 +191,7 @@ func (d *domain) allHot() bool {
 func (d *domain) macroSpan(deadline int64) int64 {
 	fw := int64(d.cores[0].arch.FetchWidth)
 	run := int64(neverEvent)
-	for _, c := range d.cores {
+	for _, c := range d.live {
 		r := c.macroRun()
 		if r < run {
 			run = r
@@ -188,25 +214,26 @@ func (d *domain) macroSpan(deadline int64) int64 {
 }
 
 // macroStep bulk-executes cycles [from, from+span) — the exact scan-engine
-// stage sequence per cycle — and applies the elided per-cycle accounting
-// arithmetically (see the macro-stepping invariants above). Pending
-// fast-forwards are settled first so stale cores (due exactly at from, or
-// fully finished) enter the stretch with their bookkeeping current.
+// stage sequence per cycle, on the live cores — and applies the elided
+// per-cycle accounting arithmetically (see the macro-stepping invariants
+// above). Pending fast-forwards are settled first so live cores due
+// exactly at from enter the stretch with their bookkeeping current; cores
+// off the live list keep their pending skip until the exit settle.
 func (d *domain) macroStep(from, span int64) {
-	for _, c := range d.cores {
+	for _, c := range d.live {
 		if k := from - 1 - c.lastStepped; k > 0 {
 			c.fastForward(c.lastStepped, k)
 		}
 	}
 	for cy := from; cy < from+span; cy++ {
-		for _, c := range d.cores {
+		for _, c := range d.live {
 			c.stepRetire(cy)
 			c.stepIssue(cy)
 			c.stepDispatch(cy)
 			c.stepFetch(cy)
 		}
 	}
-	for _, c := range d.cores {
+	for _, c := range d.live {
 		for i := 0; i < c.active; i++ {
 			ctx := c.contexts[i]
 			if !ctx.finished {
@@ -468,8 +495,10 @@ func (c *Core) fastForward(from, k int64) {
 }
 
 // settleCores brings every core's bookkeeping up to cycle upto, crediting
-// any still-pending skipped cycles. Called on every run-loop exit so that
-// Counters always reflects the full simulated range.
+// any still-pending skipped cycles — including the whole tail of a core
+// that left the live list. Called on every run-loop exit (and before a
+// pure-sleep freeze) so that Counters and the round-robin pointers always
+// reflect the full simulated range.
 func (d *domain) settleCores(upto int64) {
 	for _, c := range d.cores {
 		if k := upto - c.lastStepped; k > 0 {
@@ -479,6 +508,19 @@ func (d *domain) settleCores(upto int64) {
 	}
 }
 
+// compactLive drops the cores whose last context finished from the live
+// list, in place and stably, so the survivors keep d.cores order.
+func (d *domain) compactLive() {
+	n := 0
+	for _, c := range d.live {
+		if c.alive() {
+			d.live[n] = c
+			n++
+		}
+	}
+	d.live = d.live[:n]
+}
+
 // runEvent is the event-driven run loop: it steps only cores whose next
 // event is due and advances the clock to the earliest pending event
 // otherwise. remaining is the count of unfinished sources; deadline is the
@@ -486,12 +528,19 @@ func (d *domain) settleCores(upto int64) {
 func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (int64, error) {
 	start := d.now
 	nextCheck := start + ctxCheckInterval
+	// The live list is rebuilt in place: its backing array has room for
+	// every core of the domain, so the appends never allocate.
+	d.live = d.live[:0]
 	for _, c := range d.cores {
 		c.lastStepped = d.now - 1
-		c.nextEvent = d.now
+		c.nextEvent = neverEvent
 		c.busyEnd = false
 		c.idleProbe = false
 		c.idleExact = false
+		if c.alive() {
+			c.nextEvent = d.now
+			d.live = append(d.live, c)
+		}
 	}
 	for remaining > 0 {
 		if d.now >= deadline {
@@ -515,13 +564,20 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 		// a grant from the previous round is never missed.
 		busy := false
 		sawProbe := false
+		died := false
 		next := int64(neverEvent)
-		for _, c := range d.cores {
+		for _, c := range d.live {
 			if c.nextEvent <= d.now || (c.idleExact && c.exactDue(d.now)) {
 				if k := d.now - 1 - c.lastStepped; k > 0 {
 					c.fastForward(c.lastStepped, k)
 				}
-				remaining -= c.step(d.now)
+				if f := c.step(d.now); f > 0 {
+					remaining -= f
+					if !c.alive() {
+						c.nextEvent = neverEvent
+						died = true
+					}
+				}
 			}
 			if c.busyEnd {
 				busy = true
@@ -537,12 +593,15 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 			d.now++
 			break
 		}
+		if died {
+			d.compactLive()
+		}
 		if busy {
 			if !sawProbe && d.allHot() {
-				// Macro-stepping candidate: every core is compute-hot. After
-				// the warmup streak, bulk-step the machine-wide guaranteed
-				// compute run (chunked, deadline-capped); on any failed
-				// condition fall through to the exact 1-cycle round.
+				// Macro-stepping candidate: every live core is compute-hot.
+				// After the warmup streak, bulk-step the machine-wide
+				// guaranteed compute run (chunked, deadline-capped); on any
+				// failed condition fall through to the exact 1-cycle round.
 				d.hotStreak++
 				if d.hotStreak >= macroWarmup {
 					if span := d.macroSpan(deadline); span > 0 {
@@ -556,7 +615,7 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 			if sawProbe {
 				// Hint pass, after every step of this round so lock grants
 				// issued this round are visible.
-				for _, c := range d.cores {
+				for _, c := range d.live {
 					if !c.idleProbe || c.nextEvent <= d.now+1 {
 						continue
 					}
@@ -587,7 +646,7 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 			d.hotStreak = 0
 			hard := next
 			hint := int64(neverEvent)
-			for _, c := range d.cores {
+			for _, c := range d.live {
 				if !c.idleProbe {
 					continue
 				}
@@ -617,9 +676,13 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 				if next > deadline {
 					next = deadline
 				}
+				// Every core freezes, finished ones included: the exit
+				// settle must not rotate them through the frozen stretch.
 				d.settleCores(d.now)
 				for _, c := range d.cores {
 					c.lastStepped = next - 1
+				}
+				for _, c := range d.live {
 					c.nextEvent = next
 				}
 				d.now = next
@@ -638,8 +701,8 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 			// The scan engine steps every core at the cycle an idle
 			// stretch ends, and a waking thread's first probe can act on
 			// state another core changes that same cycle (a barrier pass),
-			// so every core must step at the jump target.
-			for _, c := range d.cores {
+			// so every live core must step at the jump target.
+			for _, c := range d.live {
 				c.nextEvent = next
 			}
 			d.now = next

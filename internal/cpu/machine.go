@@ -53,6 +53,10 @@ type Machine struct {
 	// dom is the full-machine domain RunContext runs; it lives on the
 	// Machine so the steady-state run path allocates nothing.
 	dom domain
+	// liveBuf backs the domains' live-core lists (engine.go): one slot per
+	// core, so RunContext's domain uses all of it and each RunBatch group
+	// the slots of its own cores.
+	liveBuf []*Core
 }
 
 // domain is one independently clocked simulation unit: a set of cores, the
@@ -64,7 +68,11 @@ type Machine struct {
 // chips' caches and DRAM — which is what makes batched groups bit-identical
 // to solo runs regardless of GOMAXPROCS.
 type domain struct {
-	cores   []*Core
+	cores []*Core
+	// live is the event engine's live-core list: the cores with at least
+	// one unfinished context, in cores order (engine.go). Its backing array
+	// is the domain's part of Machine.liveBuf.
+	live    []*Core
 	threads []*Context
 	now     int64
 
@@ -114,6 +122,7 @@ func NewMachine(d *arch.Desc, numChips int) (*Machine, error) {
 	// Presize the placement map to the deepest configuration so the run
 	// path never allocates, not even on a machine's first run.
 	m.threadCtx = make([]*Context, 0, len(m.cores)*d.MaxSMT)
+	m.liveBuf = make([]*Core, len(m.cores))
 	if err := m.SetSMTLevel(d.MaxSMT); err != nil {
 		return nil, err
 	}
@@ -317,7 +326,7 @@ func (m *Machine) RunContext(ctx context.Context, sources []isa.Source, maxCycle
 	}
 
 	deadline := m.now + maxCycles
-	m.dom = domain{cores: m.cores, threads: m.threadCtx, now: m.now}
+	m.dom = domain{cores: m.cores, live: m.liveBuf, threads: m.threadCtx, now: m.now}
 	var (
 		wall int64
 		err  error

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -53,6 +54,37 @@ func randomSpec(rng *xrand.Rand) *workload.Spec {
 		s.SerialLen = 100 + rng.Intn(400)
 	}
 	return s
+}
+
+// computeOnly strips every synchronisation feature from s and lengthens
+// it, producing the long homogeneous compute runs that keep the event
+// engine inside macro-stepped spans almost permanently.
+func computeOnly(s *workload.Spec, rng *xrand.Rand) {
+	s.LockEvery, s.CritLen = 0, 0
+	s.BarrierEvery = 0
+	s.SerialEvery, s.SerialLen = 0, 0
+	s.SleepEvery, s.SleepCycles = 0, 0
+	s.TotalWork = int64(60_000 + rng.Intn(60_000))
+}
+
+// librarySpec returns the named workload-library spec.
+func librarySpec(t *testing.T, name string) *workload.Spec {
+	t.Helper()
+	spec, err := workload.Get(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// instSources instantiates spec for the given thread count and seed.
+func instSources(t *testing.T, spec *workload.Spec, threads int, seed uint64) []isa.Source {
+	t.Helper()
+	inst, err := workload.Instantiate(spec, threads, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return inst.Sources()
 }
 
 // TestRandomWorkloadInvariants runs randomised workloads end-to-end and
@@ -128,11 +160,7 @@ func TestMacroStepMatchesScanReferee(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		spec := randomSpec(rng)
 		if trial%2 == 0 {
-			spec.LockEvery, spec.CritLen = 0, 0
-			spec.BarrierEvery = 0
-			spec.SerialEvery, spec.SerialLen = 0, 0
-			spec.SleepEvery, spec.SleepCycles = 0, 0
-			spec.TotalWork = int64(60_000 + rng.Intn(60_000))
+			computeOnly(spec, rng)
 		}
 		smt := []int{1, 2, 4}[rng.Intn(3)]
 		seed := uint64(trial)
@@ -149,6 +177,201 @@ func TestMacroStepMatchesScanReferee(t *testing.T) {
 		scan := runWithEngine(t, EngineScan, d, 1, smt, mk(), maxCycles)
 		event := runWithEngine(t, EngineEvent, d, 1, smt, mk(), maxCycles)
 		comparePair(t, scan, event)
+	}
+}
+
+// TestPartialMachineMatchesScanReferee pins the event engine's live-core
+// list on machines that are never full: random thread counts from 1 to
+// HardwareThreads-1 at SMT 1, 2 and 4 leave whole cores without a thread
+// from the first cycle, so those cores never enter the list and their
+// round-robin rotation is credited only by the exit settle. Trials
+// alternate compute-only and fully synchronised specs and run under random
+// cycle caps, as in TestMacroStepMatchesScanReferee.
+func TestPartialMachineMatchesScanReferee(t *testing.T) {
+	skipHeavySim(t)
+	rng := xrand.New(20261017)
+	d := arch.POWER7()
+	for trial := 0; trial < 12; trial++ {
+		spec := randomSpec(rng)
+		if trial%2 == 0 {
+			computeOnly(spec, rng)
+		}
+		smt := []int{1, 2, 4}[trial%3]
+		threads := 1 + rng.Intn(d.CoresPerChip*smt-1)
+		seed := uint64(trial)
+		maxCycles := int64(2_000 + rng.Intn(150_000))
+		mk := func() []isa.Source {
+			inst, err := workload.Instantiate(spec, threads, seed)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inst.Sources()
+		}
+		scan := runWithEngine(t, EngineScan, d, 1, smt, mk(), maxCycles)
+		event := runWithEngine(t, EngineEvent, d, 1, smt, mk(), maxCycles)
+		comparePair(t, scan, event)
+	}
+}
+
+// TestStaggeredFinishMatchesScanReferee pins the live-list compaction:
+// fixed streams of very different lengths finish at different cycles, so
+// cores leave the list one by one mid-run while the others keep stepping —
+// macro-stepping when the survivors are compute streams (a fixed stream
+// guarantees its whole remaining run), event-skipping when they are memory
+// walks. Odd trials cut the run with a random cycle cap.
+func TestStaggeredFinishMatchesScanReferee(t *testing.T) {
+	skipHeavySim(t)
+	rng := xrand.New(20261018)
+	d := arch.POWER7()
+	classes := []isa.Class{isa.Int, isa.Load, isa.FPVec, isa.IntMul, isa.FPDiv}
+	for trial := 0; trial < 9; trial++ {
+		smt := []int{1, 2, 4}[trial%3]
+		streams := make([]fixedStream, 1+rng.Intn(d.CoresPerChip*smt))
+		for i := range streams {
+			s := fixedStream{
+				n:     int64(300 + rng.Intn(40_000)),
+				class: classes[rng.Intn(len(classes))],
+				dep:   uint8(rng.Intn(4)),
+			}
+			if s.class == isa.Load {
+				s.step, s.mask = 64, 1<<uint(12+rng.Intn(10))-1
+			}
+			streams[i] = s
+		}
+		mk := func() []isa.Source {
+			srcs := make([]isa.Source, len(streams))
+			for i := range streams {
+				s := streams[i]
+				srcs[i] = &s
+			}
+			return srcs
+		}
+		maxCycles := int64(0)
+		if trial%2 == 1 {
+			maxCycles = int64(1_000 + rng.Intn(40_000))
+		}
+		scan := runWithEngine(t, EngineScan, d, 1, smt, mk(), maxCycles)
+		event := runWithEngine(t, EngineEvent, d, 1, smt, mk(), maxCycles)
+		comparePair(t, scan, event)
+	}
+}
+
+// TestRunBatchPairShapeMatchesScan runs placement's pair-scoring shape —
+// RunBatch with one one-chip group per pair, both threads on core 0 at
+// SMT4, a 200k-cycle cap — under both engines and pins every group's wall
+// cycles, counter snapshot and error to the scan referee. Seven of each
+// chip's eight cores hold no thread, and the groups' live lists share one
+// machine buffer, which the race stage of CI watches.
+func TestRunBatchPairShapeMatchesScan(t *testing.T) {
+	pairs := [][2]string{{"CG", "EP"}, {"Dedup", "Dedup"}, {"Canneal", "MG"}, {"EP", "EP"}}
+	run := func(eng Engine) []BatchResult {
+		m := newP7(t, len(pairs))
+		if err := m.SetEngine(eng); err != nil {
+			t.Fatal(err)
+		}
+		// As placement.Engine builds them: a self pair is one two-thread
+		// instantiation, a mixed pair one thread of each workload.
+		groups := make([][]isa.Source, len(pairs))
+		for g, p := range pairs {
+			a, b := librarySpec(t, p[0]), librarySpec(t, p[1])
+			if p[0] == p[1] {
+				groups[g] = instSources(t, a, 2, uint64(g))
+			} else {
+				groups[g] = append(instSources(t, a, 1, uint64(2*g)), instSources(t, b, 1, uint64(2*g+1))...)
+			}
+		}
+		res, err := m.RunBatch(context.Background(), groups, 1, 200_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	scan, event := run(EngineScan), run(EngineEvent)
+	for g, p := range pairs {
+		if scan[g].Wall != event[g].Wall || !reflect.DeepEqual(scan[g].Err, event[g].Err) {
+			t.Errorf("%s×%s: scan wall %d err %v, event wall %d err %v",
+				p[0], p[1], scan[g].Wall, scan[g].Err, event[g].Wall, event[g].Err)
+		}
+		if !reflect.DeepEqual(scan[g].Snapshot, event[g].Snapshot) {
+			t.Errorf("%s×%s: snapshots diverge:\nscan:  %+v\nevent: %+v",
+				p[0], p[1], scan[g].Snapshot, event[g].Snapshot)
+		}
+	}
+}
+
+// TestBackToBackRunsMatchScanReferee runs several RunContext calls on one
+// machine without Reset under both engines and compares after every run —
+// the controller's measurement-interval pattern. Round-robin pointers
+// survive between runs and no snapshot shows them, so a pointer a run
+// leaves in the wrong place surfaces only in the next run's counters.
+//
+// Both cases run at SMT4, where all four values of each pointer order the
+// contexts differently, and cut runs at cycle counts that are not multiples
+// of four, so a mis-credited rotation cannot cancel out.
+//
+//   - few_then_full: the first run populates two cores and leaves the rest
+//     off the live list (their rotation credited only by the exit settle);
+//     the second fills every context.
+//   - sleep_with_finished: four short streams finish early on core 1 while
+//     four sleep-heavy threads on core 0 all sleep at once, so the
+//     pure-sleep freeze fires with finished and never-populated cores
+//     present; a full second run then exposes any pointer the freeze
+//     rotated.
+func TestBackToBackRunsMatchScanReferee(t *testing.T) {
+	skipHeavySim(t)
+	sleepy := *librarySpec(t, "EP")
+	sleepy.Name = "sleepy"
+	sleepy.TotalWork = 40_000
+	sleepy.IterLen = 400
+	sleepy.SleepEvery, sleepy.SleepCycles = 1, 6_000
+	type run struct {
+		srcs      func(t *testing.T) []isa.Source
+		maxCycles int64
+	}
+	cases := []struct {
+		name string
+		runs []run
+	}{
+		{"few_then_full", []run{
+			{func(t *testing.T) []isa.Source { return instSources(t, librarySpec(t, "CG"), 5, 1) }, 60_001},
+			{func(t *testing.T) []isa.Source { return instSources(t, librarySpec(t, "EP"), 32, 2) }, 40_003},
+		}},
+		{"sleep_with_finished", []run{
+			{func(t *testing.T) []isa.Source {
+				srcs := instSources(t, &sleepy, 4, 3)
+				for i := 0; i < 4; i++ {
+					srcs = append(srcs, &fixedStream{n: int64(200 + 300*i), class: isa.Int, dep: 1})
+				}
+				return srcs
+			}, 0},
+			{func(t *testing.T) []isa.Source { return instSources(t, librarySpec(t, "MG"), 32, 4) }, 40_003},
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			var machines [2]*Machine
+			for e, eng := range []Engine{EngineScan, EngineEvent} {
+				m := newP7(t, 1)
+				if err := m.SetSMTLevel(4); err != nil {
+					t.Fatal(err)
+				}
+				if err := m.SetEngine(eng); err != nil {
+					t.Fatal(err)
+				}
+				machines[e] = m
+			}
+			for _, r := range tc.runs {
+				var res [2]engineResult
+				for e, m := range machines {
+					wall, err := m.RunContext(context.Background(), r.srcs(t), r.maxCycles)
+					res[e] = engineResult{wall: wall, snap: m.Counters(), now: m.Now()}
+					if err != nil {
+						res[e].err = err.Error()
+					}
+				}
+				comparePair(t, res[0], res[1])
+			}
+		})
 	}
 }
 

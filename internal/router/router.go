@@ -1,13 +1,17 @@
 package router
 
 import (
+	"bytes"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -355,28 +359,75 @@ func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		})
 }
 
-// handlePlace routes POST /v1/place by the hash of the canonical
-// (re-marshalled) request. The shard re-canonicalizes the resolved input
-// for its own cache key, so two routers (or one router and a direct
-// client) hashing the same semantic request agree on the owning shard and
-// the shard's flight group coalesces them — extending the 1-shard ≡
-// N-shard byte-identity to placement.
+// handlePlace routes POST /v1/place by placeRouteKey, which ignores the
+// order of workloads and anti-affinity rules exactly as the shard's own
+// cache key (the canonical resolved input) does: a reordered repeat of a
+// placement lands on the shard that cached the first answer, and
+// concurrent reorderings coalesce in that shard's flight group.
 func (rt *Router) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var req api.PlaceRequest
 	if err := decodeJSON(r, &req); err != nil {
 		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad place request: %v", err)
 		return
 	}
-	canonical, err := json.Marshal(req)
+	key, err := placeRouteKey(req)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising request: %v", err)
 		return
 	}
-	rt.forward(r.Context(), w, xrand.HashBytes(canonical),
+	rt.forward(r.Context(), w, key,
 		func(ctx context.Context, c *client.Client) (any, bool, error) {
 			resp, err := c.Place(ctx, req)
 			return resp, resp.Degraded, err
 		})
+}
+
+// placeRouteKey is the shard key of a placement request: the hash of a
+// copy of req re-marshalled with its order-free parts in one order —
+// workloads sorted by name, anti-affinity rules oriented so A <= B, sorted
+// and deduplicated. Permuting the workloads or reordering, flipping or
+// repeating rules keeps the key. Duplicate workload names (which the shard
+// rejects) sort by their JSON form, so even such a request keys the same
+// in any order. Defaulted fields are left as sent: resolving them needs
+// the architecture table, and the router reads only the api types so that
+// it links no simulator.
+func placeRouteKey(req api.PlaceRequest) (uint64, error) {
+	type entry struct {
+		w   api.PlaceWorkload
+		raw []byte
+	}
+	ws := make([]entry, len(req.Workloads))
+	for i, w := range req.Workloads {
+		raw, err := json.Marshal(w)
+		if err != nil {
+			return 0, err
+		}
+		ws[i] = entry{w, raw}
+	}
+	slices.SortFunc(ws, func(a, b entry) int {
+		return cmp.Or(strings.Compare(a.w.Name, b.w.Name), bytes.Compare(a.raw, b.raw))
+	})
+	canon := req
+	canon.Workloads = make([]api.PlaceWorkload, len(ws))
+	for i, e := range ws {
+		canon.Workloads[i] = e.w
+	}
+	canon.AntiAffinity = make([]api.AffinityRule, len(req.AntiAffinity))
+	for i, rule := range req.AntiAffinity {
+		if rule.B < rule.A {
+			rule.A, rule.B = rule.B, rule.A
+		}
+		canon.AntiAffinity[i] = rule
+	}
+	slices.SortFunc(canon.AntiAffinity, func(a, b api.AffinityRule) int {
+		return cmp.Or(strings.Compare(a.A, b.A), strings.Compare(a.B, b.B))
+	})
+	canon.AntiAffinity = slices.Compact(canon.AntiAffinity)
+	b, err := json.Marshal(canon)
+	if err != nil {
+		return 0, err
+	}
+	return xrand.HashBytes(b), nil
 }
 
 // fallbackEligible reports whether a forward failure may be retried on the

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -183,7 +184,12 @@ func TestGoldenOneShardEqualsFleet(t *testing.T) {
 }
 
 // TestRouterKeyAffinity pins cache affinity: identical requests land on
-// the same shard, so the second answer comes from that shard's LRU.
+// the same shard, so the second answer comes from that shard's LRU. For
+// /v1/place the repeat is reordered — workloads reversed, the anti rule
+// flipped and repeated — which the shard's canonical key ignores, so the
+// router's key must ignore it too. Three placements keep an
+// order-sensitive key from passing by luck (it would reach the caching
+// shard of three only about once in 27 tries).
 func TestRouterKeyAffinity(t *testing.T) {
 	fleet, _ := newFleet(t, 3, nil)
 	req := analyzeReq(0)
@@ -197,6 +203,29 @@ func TestRouterKeyAffinity(t *testing.T) {
 	}
 	if !rec.Cached {
 		t.Fatalf("second identical request missed the shard cache: %+v — keys are not routing stably", rec)
+	}
+
+	for i := 0; i < 3; i++ {
+		req := placeReq(i)
+		if status, body := post(t, fleet.URL, api.PathPlace, req); status != http.StatusOK {
+			t.Fatalf("place %d first: %d %s", i, status, body)
+		}
+		repeat := req
+		repeat.Workloads = slices.Clone(req.Workloads)
+		slices.Reverse(repeat.Workloads)
+		flipped := api.AffinityRule{A: req.AntiAffinity[0].B, B: req.AntiAffinity[0].A}
+		repeat.AntiAffinity = []api.AffinityRule{flipped, req.AntiAffinity[0]}
+		status, body := post(t, fleet.URL, api.PathPlace, repeat)
+		if status != http.StatusOK {
+			t.Fatalf("place %d repeat: %d %s", i, status, body)
+		}
+		var resp api.PlaceResponse
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if !resp.Cached {
+			t.Fatalf("place %d: reordered repeat missed the shard cache — the route key depends on workload or rule order", i)
+		}
 	}
 }
 

@@ -4,7 +4,7 @@
 #
 # Usage:
 #   scripts/bench.sh                      # run grid, gate against newest artifact
-#   scripts/bench.sh refresh [artifact]   # run grid, write artifact (default BENCH_PR9.json)
+#   scripts/bench.sh refresh [artifact]   # run grid, write artifact (default BENCH_PR12.json)
 #   scripts/bench.sh quick <cellglob>     # run a named subset of the grid, no gate
 #
 # quick runs only the BenchmarkEngine cells matching the glob — e.g.
@@ -49,7 +49,7 @@ go test -run '^$' -bench 'BenchmarkEngine|BenchmarkSteadyState' \
 
 case "$mode" in
 refresh)
-	artifact=${2:-BENCH_PR9.json}
+	artifact=${2:-BENCH_PR12.json}
 	echo "==> rewriting $artifact"
 	go run ./scripts/benchgate emit "$out" >"$artifact"
 	echo "wrote $artifact"

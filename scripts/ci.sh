@@ -184,7 +184,7 @@ stage_race() {
 	# bit-identical to solo runs at any GOMAXPROCS, with the race detector
 	# watching the per-group domain isolation.
 	step "chip-parallel determinism under race"
-	go test -race -count=1 -run 'TestRunBatchDeterminism|TestRunBatchMatchesSolo|TestBatchedAnalyzeMatchesSolo' \
+	go test -race -count=1 -run 'TestRunBatchDeterminism|TestRunBatchMatchesSolo|TestRunBatchPairShapeMatchesScan|TestBatchedAnalyzeMatchesSolo' \
 		./internal/cpu ./internal/server
 }
 
@@ -192,6 +192,7 @@ stage_fuzz() {
 	step "fuzz smoke (10s per target)"
 	go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/trace
 	go test -run '^$' -fuzz FuzzSpecJSON -fuzztime 10s ./internal/workload
+	go test -run '^$' -fuzz FuzzPlaceRouteKey -fuzztime 10s ./internal/router
 }
 
 run_stage() {
