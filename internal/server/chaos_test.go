@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -240,6 +241,8 @@ func TestFaultsDisabledBitIdentical(t *testing.T) {
 			r.Arch = "nehalem"
 			return r
 		}()},
+		{"place", "/v1/place", json.RawMessage(placeBodyA)},
+		{"place-repeat", "/v1/place", json.RawMessage(placeBodyB)},
 	}
 	for _, g := range golden {
 		a := postJSON(t, plain.Handler(), g.path, g.body)

@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,6 +19,7 @@ import (
 	"repro/api"
 	"repro/internal/arch"
 	"repro/internal/controller"
+	"repro/internal/placement"
 	"repro/internal/smtsm"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -138,12 +140,139 @@ func TestCoalesceWaiterDeadlineDuringProbe(t *testing.T) {
 	if got := calls.Load(); got != 1 {
 		t.Errorf("probe ran %d times, want 1", got)
 	}
+
+	// The same contract on /v1/place: the waiter is answered 504
+	// probe_timeout on its own deadline while the leader's placement runs
+	// on to a 200.
+	t.Run("place", func(t *testing.T) {
+		s := newTestServer(t, cfg)
+		var calls atomic.Int64
+		started := make(chan struct{}, 1)
+		release := make(chan struct{})
+		s.place = func(ctx context.Context, in *placement.Input) (api.PlaceResponse, error) {
+			calls.Add(1)
+			select {
+			case started <- struct{}{}:
+			default:
+			}
+			select {
+			case <-release:
+			case <-ctx.Done():
+				return api.PlaceResponse{}, ctx.Err()
+			}
+			return api.PlaceResponse{Arch: in.Desc.Name, Chips: in.Chips}, nil
+		}
+		h := s.Handler()
+		leaderStatus := make(chan int, 1)
+		go func() { leaderStatus <- postRaw(t, h, "/v1/place", placeBodyA).Code }()
+		<-started // leader is inside the placement, flight open
+
+		wctx, wcancel := context.WithCancel(context.Background())
+		defer wcancel()
+		waiter := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			req := httptest.NewRequest("POST", "/v1/place", strings.NewReader(placeBodyA)).WithContext(wctx)
+			w := httptest.NewRecorder()
+			h.ServeHTTP(w, req)
+			waiter <- w
+		}()
+		waitFor(t, "waiter to park on the flight", func() bool { return s.met.placeCoalesced.Load() == 1 })
+
+		wcancel() // the waiter's deadline fires mid-placement
+		w := <-waiter
+		checkEnvelope(t, w.Code, w.Header(), w.Body.Bytes(), http.StatusGatewayTimeout, api.CodeProbeTimeout, false)
+		if got := s.met.timeouts.Load(); got != 1 {
+			t.Errorf("timeout_total = %d, want 1", got)
+		}
+
+		close(release) // leader finishes normally, unaffected
+		if got := <-leaderStatus; got != http.StatusOK {
+			t.Errorf("leader status = %d, want 200", got)
+		}
+		if got := calls.Load(); got != 1 {
+			t.Errorf("placement ran %d times, want 1", got)
+		}
+	})
+}
+
+// sentinelFlight is a flight the test leads on one endpoint: waiters that
+// post body to path park on it until finish publishes the leader outcome.
+type sentinelFlight struct {
+	path   string
+	body   []byte
+	finish func(err error)
+	parked func() uint64 // the endpoint's coalesced-waiter counter
+	open   func() int    // the endpoint's open-flight gauge
+}
+
+// leadSentinelFlight wins leadership of the flight that the endpoint's
+// fixed test request ("analyze" or "place") keys to on s.
+func leadSentinelFlight(t *testing.T, s *Server, endpoint string) sentinelFlight {
+	t.Helper()
+	if endpoint == "place" {
+		key := placeKeyOf(t, s, placeBodyA)
+		f, leader := s.placeFlights.join(key)
+		if !leader {
+			t.Fatal("test did not win flight leadership")
+		}
+		return sentinelFlight{
+			path: "/v1/place",
+			body: []byte(placeBodyA),
+			finish: func(err error) {
+				f.err = err
+				s.placeFlights.finish(key, f)
+			},
+			parked: s.met.placeCoalesced.Load,
+			open:   s.placeFlights.inFlight,
+		}
+	}
+	req := coalesceReq()
+	key := analyzeKey(t, s, req)
+	f, leader := s.flights.join(key)
+	if !leader {
+		t.Fatal("test did not win flight leadership")
+	}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sentinelFlight{
+		path: "/v1/analyze",
+		body: body,
+		finish: func(err error) {
+			f.err = err
+			s.flights.finish(key, f)
+		},
+		parked: s.met.coalesced.Load,
+		open:   s.flights.inFlight,
+	}
+}
+
+// placeKeyOf computes the flight key handlePlace derives for body with the
+// server's defaults filled in.
+func placeKeyOf(t *testing.T, s *Server, body string) string {
+	t.Helper()
+	var req api.PlaceRequest
+	if err := json.Unmarshal([]byte(body), &req); err != nil {
+		t.Fatal(err)
+	}
+	in, err := placement.Resolve(s.defaultArch, s.cfg.Chips, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	canonical, err := in.Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return placeKey(canonical)
 }
 
 // TestWaitersSeeLeaderSentinels parks real waiters on a flight the test
 // leads, then finishes it with each leader-outcome sentinel in turn: every
 // waiter must map the sentinel through its own degradation path onto the
 // documented status, error code and Retry-After header — with no probe run.
+// The analyze cases run under the bare sentinel name, the /v1/place cases
+// under "place/".
 func TestWaitersSeeLeaderSentinels(t *testing.T) {
 	cases := []struct {
 		name           string
@@ -156,66 +285,67 @@ func TestWaitersSeeLeaderSentinels(t *testing.T) {
 		{"expired", errFlightExpired, http.StatusServiceUnavailable, api.CodeQueueTimeout, false},
 		{"breaker", errFlightBreaker, http.StatusServiceUnavailable, api.CodeBreakerOpen, true},
 	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			cfg := testConfig()
-			cfg.CoalesceWindow = 50 * time.Millisecond
-			s := newTestServer(t, cfg)
-			var calls atomic.Int64
-			s.probe = countingProbe(&calls, 0)
-			ts := httptest.NewServer(s.Handler())
-			defer ts.Close()
-
-			req := coalesceReq()
-			f, leader := s.flights.join(analyzeKey(t, s, req))
-			if !leader {
-				t.Fatal("test did not win flight leadership")
+	for _, endpoint := range []string{"analyze", "place"} {
+		for _, tc := range cases {
+			name := tc.name
+			if endpoint == "place" {
+				name = "place/" + tc.name
 			}
-			body, err := json.Marshal(req)
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			const waiters = 3
-			type reply struct {
-				status int
-				header http.Header
-				body   []byte
-			}
-			replies := make(chan reply, waiters)
-			for i := 0; i < waiters; i++ {
-				go func() {
-					resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-					if err != nil {
-						replies <- reply{status: -1}
-						return
-					}
-					defer resp.Body.Close()
-					raw, _ := io.ReadAll(resp.Body)
-					replies <- reply{resp.StatusCode, resp.Header, raw}
-				}()
-			}
-			waitFor(t, "waiters to park on the flight", func() bool {
-				return s.met.coalesced.Load() == waiters
-			})
-
-			f.err = tc.sentinel
-			s.flights.finish(analyzeKey(t, s, req), f)
-
-			for i := 0; i < waiters; i++ {
-				r := <-replies
-				if r.status == -1 {
-					t.Fatal("waiter transport error")
+			t.Run(name, func(t *testing.T) {
+				cfg := testConfig()
+				cfg.CoalesceWindow = 50 * time.Millisecond
+				s := newTestServer(t, cfg)
+				var calls atomic.Int64
+				s.probe = countingProbe(&calls, 0)
+				s.place = func(ctx context.Context, in *placement.Input) (api.PlaceResponse, error) {
+					calls.Add(1)
+					return api.PlaceResponse{}, nil
 				}
-				checkEnvelope(t, r.status, r.header, r.body, tc.wantStatus, tc.wantCode, tc.wantRetryAfter)
-			}
-			if got := calls.Load(); got != 0 {
-				t.Errorf("probe ran %d times under sentinel %v, want 0", got, tc.sentinel)
-			}
-			if got := s.flights.inFlight(); got != 0 {
-				t.Errorf("flights in flight after finish = %d, want 0", got)
-			}
-		})
+				ts := httptest.NewServer(s.Handler())
+				defer ts.Close()
+
+				fl := leadSentinelFlight(t, s, endpoint)
+
+				const waiters = 3
+				type reply struct {
+					status int
+					header http.Header
+					body   []byte
+				}
+				replies := make(chan reply, waiters)
+				for i := 0; i < waiters; i++ {
+					go func() {
+						resp, err := http.Post(ts.URL+fl.path, "application/json", bytes.NewReader(fl.body))
+						if err != nil {
+							replies <- reply{status: -1}
+							return
+						}
+						defer resp.Body.Close()
+						raw, _ := io.ReadAll(resp.Body)
+						replies <- reply{resp.StatusCode, resp.Header, raw}
+					}()
+				}
+				waitFor(t, "waiters to park on the flight", func() bool {
+					return fl.parked() == waiters
+				})
+
+				fl.finish(tc.sentinel)
+
+				for i := 0; i < waiters; i++ {
+					r := <-replies
+					if r.status == -1 {
+						t.Fatal("waiter transport error")
+					}
+					checkEnvelope(t, r.status, r.header, r.body, tc.wantStatus, tc.wantCode, tc.wantRetryAfter)
+				}
+				if got := calls.Load(); got != 0 {
+					t.Errorf("probe ran %d times under sentinel %v, want 0", got, tc.sentinel)
+				}
+				if got := fl.open(); got != 0 {
+					t.Errorf("flights in flight after finish = %d, want 0", got)
+				}
+			})
+		}
 	}
 }
 

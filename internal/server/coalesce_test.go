@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"repro/api"
 	"repro/internal/arch"
 	"repro/internal/controller"
+	"repro/internal/placement"
 	"repro/internal/smtsm"
 	"repro/internal/workload"
 )
@@ -265,5 +267,38 @@ func TestCoalesceDisabled(t *testing.T) {
 	wg.Wait()
 	if got := calls.Load(); got != n {
 		t.Fatalf("probe ran %d times with coalescing disabled, want %d", got, n)
+	}
+
+	// /v1/place honours the same escape hatch: every identical placement
+	// runs its own co-simulation and none is counted as coalesced.
+	var placements atomic.Int64
+	s.place = func(ctx context.Context, in *placement.Input) (api.PlaceResponse, error) {
+		placements.Add(1)
+		time.Sleep(10 * time.Millisecond) // long enough to overlap the burst
+		return api.PlaceResponse{Arch: in.Desc.Name, Chips: in.Chips}, nil
+	}
+	for i := 0; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			resp, err := http.Post(ts.URL+"/v1/place", "application/json", strings.NewReader(placeBodyA))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			defer resp.Body.Close()
+			//lint:ignore errlint draining the body is connection hygiene; the status is the assertion
+			_, _ = io.Copy(io.Discard, resp.Body)
+			if resp.StatusCode != http.StatusOK {
+				t.Errorf("place status %d", resp.StatusCode)
+			}
+		}()
+	}
+	wg.Wait()
+	if got := placements.Load(); got != n {
+		t.Fatalf("placement ran %d times with coalescing disabled, want %d", got, n)
+	}
+	if got := s.met.placeCoalesced.Load(); got != 0 {
+		t.Fatalf("place_coalesced_total = %d with coalescing disabled, want 0", got)
 	}
 }

@@ -204,6 +204,52 @@ func TestErrorEnvelopeTable(t *testing.T) {
 				return resp.StatusCode, resp.Header, buf.Bytes()
 			}},
 
+		{"metric/queue-timeout", 503, api.CodeQueueTimeout, false,
+			func(t *testing.T) (int, http.Header, []byte) {
+				// The metric request expires while waiting in the queue
+				// behind a probe that ignores its context.
+				cfg := testConfig()
+				cfg.Workers = 1
+				cfg.QueueDepth = 4
+				cfg.CacheSize = -1
+				cfg.RequestTimeout = 50 * time.Millisecond
+				s := newTestServer(t, cfg)
+				started := make(chan struct{}, 1)
+				gate := make(chan struct{})
+				s.probe = func(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
+					select {
+					case started <- struct{}{}:
+					default:
+					}
+					<-gate
+					return controller.ProbeResult{WallCycles: 1, Snapshot: highMetricSnapshot()}, nil
+				}
+				ts := httptest.NewServer(s.Handler())
+
+				var wg sync.WaitGroup
+				defer wg.Wait()
+				defer ts.Close()
+				defer close(gate)
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					httpPost(t, ts.URL+"/v1/analyze", analyzeBody(9))
+				}()
+				<-started
+
+				resp, err := http.Post(ts.URL+"/v1/metric", "application/json",
+					strings.NewReader(`{}`))
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer resp.Body.Close()
+				var buf bytes.Buffer
+				if _, err := buf.ReadFrom(resp.Body); err != nil {
+					t.Fatal(err)
+				}
+				return resp.StatusCode, resp.Header, buf.Bytes()
+			}},
+
 		{"analyze/queue-timeout", 503, api.CodeQueueTimeout, false,
 			func(t *testing.T) (int, http.Header, []byte) {
 				// The request expires while waiting in the queue.

@@ -424,6 +424,13 @@ func TestPlaceDegradedStale(t *testing.T) {
 	if !resp.Degraded || !resp.Cached || resp.Warning == "" {
 		t.Fatalf("stale placement not marked degraded: %+v", resp)
 	}
+	const staleReason = "placement failed (engine on fire): serving last known placement"
+	if resp.Warning != staleReason {
+		t.Fatalf("warning %q, want exactly %q", resp.Warning, staleReason)
+	}
+	if hdr, want := w.Header().Get("Warning"), `110 smtservd "`+staleReason+`"`; hdr != want {
+		t.Fatalf("Warning header %q, want exactly %q", hdr, want)
+	}
 	if len(resp.Assignments) == 0 {
 		t.Fatalf("stale placement lost its assignments: %+v", resp)
 	}
@@ -455,5 +462,12 @@ func TestPlaceDegradedPartial(t *testing.T) {
 	resp := decodePlace(t, w.Body.Bytes())
 	if !resp.Degraded || !strings.Contains(resp.Warning, "partial placement") {
 		t.Fatalf("partial placement not marked: %+v", resp)
+	}
+	const partialReason = "partial placement: deadline expired with 1 pair scores gathered"
+	if resp.Warning != partialReason {
+		t.Fatalf("warning %q, want exactly %q", resp.Warning, partialReason)
+	}
+	if hdr, want := w.Header().Get("Warning"), `199 smtservd "`+partialReason+`"`; hdr != want {
+		t.Fatalf("Warning header %q, want exactly %q", hdr, want)
 	}
 }
