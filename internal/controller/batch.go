@@ -20,33 +20,28 @@ type BatchItem struct {
 
 // BatchResult pairs one variant's probe outcome with its error. A canceled
 // or failed variant still carries the partial observation accumulated up to
-// the interruption, exactly as ProbeWith reports for a solo probe.
+// the interruption, exactly as Probe reports for a solo probe.
 type BatchResult struct {
 	ProbeResult
 	Err error
 }
 
 // ProbeBatch probes len(items) workload variants in ONE batched simulation
-// pass: a single machine of chips×len(items) chips is borrowed (or built),
-// each variant runs on its own disjoint chips-chip group, and the groups
-// simulate concurrently (cpu.Machine.RunBatch). Each variant's result —
-// wall cycles, counter snapshot, metric breakdown — is bit-identical to a
-// solo ProbeWith of that variant on a chips-chip machine, at any
-// GOMAXPROCS; a batch of one degenerates to exactly the solo path.
+// pass: a single machine of chips×len(items) chips is borrowed from p.Pool
+// (or built), each variant runs on its own disjoint chips-chip group, and
+// the groups simulate concurrently (cpu.Machine.RunBatch). Each variant's
+// result — wall cycles, counter snapshot, metric breakdown — is
+// bit-identical to a solo Probe of that variant on a chips-chip machine,
+// at any GOMAXPROCS; a batch of one degenerates to exactly the solo path.
+// Each variant's compiled workload comes from p.Cache when present, so
+// repeated variants across batches — the common case for coalesced server
+// flights replaying popular specs — share one immutable compiled Program
+// and only stamp per-run state.
 //
 // Setup failures (no items, machine construction, instantiation) return a
 // nil slice and an error; run errors are per-variant in BatchResult.Err.
 // Cancellation via ctx interrupts every group and each reports its partial
-// observation, mirroring ProbeWith.
-func ProbeBatch(ctx context.Context, pool *cpu.Pool, d *arch.Desc, chips int, items []BatchItem) ([]BatchResult, error) {
-	return (&Prober{Pool: pool}).ProbeBatch(ctx, d, chips, items)
-}
-
-// ProbeBatch is the batched pass with the Prober's amortization layers:
-// the combined machine comes from p.Pool and each variant's compiled
-// workload from p.Cache when present. Repeated variants across batches —
-// the common case for coalesced server flights replaying popular specs —
-// share one immutable compiled Program and only stamp per-run state.
+// observation, mirroring Probe.
 func (p *Prober) ProbeBatch(ctx context.Context, d *arch.Desc, chips int, items []BatchItem) ([]BatchResult, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err

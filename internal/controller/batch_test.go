@@ -5,7 +5,6 @@ import (
 	"errors"
 	"reflect"
 	"testing"
-	"time"
 
 	"repro/internal/arch"
 	"repro/internal/cpu"
@@ -26,12 +25,12 @@ func batchSpecs() []BatchItem {
 }
 
 // TestProbeBatchMatchesSolo pins the batch probe contract: each variant of
-// a batched probe returns a ProbeResult bit-identical to a solo ProbeWith
-// of the same variant on a machine of the same per-variant size.
+// a batched probe returns a ProbeResult bit-identical to a solo Probe of
+// the same variant on a machine of the same per-variant size.
 func TestProbeBatchMatchesSolo(t *testing.T) {
 	d := arch.POWER7()
 	items := batchSpecs()
-	batch, err := ProbeBatch(context.Background(), nil, d, 1, items)
+	batch, err := (&Prober{}).ProbeBatch(context.Background(), d, 1, items)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +38,7 @@ func TestProbeBatchMatchesSolo(t *testing.T) {
 		t.Fatalf("got %d results for %d items", len(batch), len(items))
 	}
 	for i, it := range items {
-		solo, err := Probe(context.Background(), d, 1, it.Spec, it.Seed)
+		solo, err := (&Prober{}).Probe(context.Background(), d, 1, it.Spec, it.Seed)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -58,11 +57,11 @@ func TestProbeBatchOfOneDegenerates(t *testing.T) {
 	d := arch.POWER7()
 	pool := cpu.NewPool(2)
 	items := []BatchItem{{Spec: tinySpec(), Seed: 42}}
-	batch, err := ProbeBatch(context.Background(), pool, d, 1, items)
+	batch, err := (&Prober{Pool: pool}).ProbeBatch(context.Background(), d, 1, items)
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := ProbeWith(context.Background(), pool, d, 1, tinySpec(), 42)
+	solo, err := (&Prober{Pool: pool}).Probe(context.Background(), d, 1, tinySpec(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,15 +74,15 @@ func TestProbeBatchOfOneDegenerates(t *testing.T) {
 // TestProbeBatchValidation covers the setup-error paths.
 func TestProbeBatchValidation(t *testing.T) {
 	d := arch.POWER7()
-	if _, err := ProbeBatch(context.Background(), nil, d, 1, nil); err == nil {
+	if _, err := (&Prober{}).ProbeBatch(context.Background(), d, 1, nil); err == nil {
 		t.Error("empty batch accepted")
 	}
-	if _, err := ProbeBatch(context.Background(), nil, d, 0, batchSpecs()); err == nil {
+	if _, err := (&Prober{}).ProbeBatch(context.Background(), d, 0, batchSpecs()); err == nil {
 		t.Error("non-positive chips accepted")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := ProbeBatch(ctx, nil, d, 1, batchSpecs()); !errors.Is(err, context.Canceled) {
+	if _, err := (&Prober{}).ProbeBatch(ctx, d, 1, batchSpecs()); !errors.Is(err, context.Canceled) {
 		t.Errorf("pre-canceled batch err = %v, want context.Canceled", err)
 	}
 }
@@ -97,12 +96,7 @@ func TestProbeBatchPartialOnCancel(t *testing.T) {
 		long.TotalWork = 500_000_000
 		items[i].Spec = &long
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	batch, err := ProbeBatch(ctx, nil, arch.POWER7(), 1, items)
+	batch, err := (&Prober{}).ProbeBatch(newCancelAtFirstPoll(), arch.POWER7(), 1, items)
 	if err != nil {
 		t.Fatal(err)
 	}

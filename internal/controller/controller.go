@@ -205,31 +205,6 @@ type ProbeResult struct {
 	Metric smtsm.Breakdown
 }
 
-// Probe measures spec at the architecture's maximum SMT level — the only
-// level at which the paper shows the metric is trustworthy — under ctx, and
-// returns the counter snapshot and metric breakdown. The context is polled
-// cooperatively by the simulator, so a caller can bound the probe with a
-// deadline or cancel it when a client disconnects.
-//
-// Cancellation mirrors cpu.Machine.RunContext: alongside the context's
-// error, Probe returns the PARTIAL result measured up to the interruption
-// — the wall cycles simulated so far, the counter snapshot at that point,
-// and the metric computed over it — instead of discarding completed work.
-// Callers that can tolerate an approximate answer (the advisor's degraded
-// path) inspect the partial snapshot; callers that cannot simply honour
-// the error.
-func Probe(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (ProbeResult, error) {
-	return (&Prober{}).Probe(ctx, d, chips, spec, seed)
-}
-
-// ProbeWith is Probe with an optional machine pool: when pool is non-nil the
-// simulated machine is borrowed from it and returned after the run, so hot
-// callers (smtservd, the experiment matrix) amortize machine construction.
-// A nil pool builds a machine per call, exactly as Probe always has.
-func ProbeWith(ctx context.Context, pool *cpu.Pool, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (ProbeResult, error) {
-	return (&Prober{Pool: pool}).Probe(ctx, d, chips, spec, seed)
-}
-
 // Prober bundles the two amortization layers a hot probe path wants: a
 // machine pool (reuses simulated machines across probes) and a workload
 // program cache (reuses compiled instruction-stream tables across probes of
@@ -241,9 +216,20 @@ type Prober struct {
 	Cache *workload.Cache
 }
 
-// Probe measures spec at the maximum SMT level exactly as the package-level
-// Probe does, borrowing the machine from p.Pool and the compiled workload
-// from p.Cache when present.
+// Probe measures spec at the architecture's maximum SMT level — the only
+// level at which the paper shows the metric is trustworthy — under ctx, and
+// returns the counter snapshot and metric breakdown. The machine comes from
+// p.Pool and the compiled workload from p.Cache when present. The context
+// is polled cooperatively by the simulator, so a caller can bound the probe
+// with a deadline or cancel it when a client disconnects.
+//
+// Cancellation mirrors cpu.Machine.RunContext: alongside the context's
+// error, Probe returns the PARTIAL result measured up to the interruption
+// — the wall cycles simulated so far, the counter snapshot at that point,
+// and the metric computed over it — instead of discarding completed work.
+// Callers that can tolerate an approximate answer (the advisor's degraded
+// path) inspect the partial snapshot; callers that cannot simply honour
+// the error.
 func (p *Prober) Probe(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (ProbeResult, error) {
 	// The simulator polls ctx only every few thousand simulated cycles; a
 	// short probe can finish before the first poll, so check up front that

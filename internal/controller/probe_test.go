@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"errors"
+	"sync"
 	"testing"
 	"time"
 
@@ -24,9 +25,41 @@ func tinySpec() *workload.Spec {
 	}
 }
 
+// cancelAtFirstPoll is a context canceled at the simulator's first context
+// poll. Its Err stays nil — so the probe's up-front checks pass — until
+// Done is first requested, which only the run loop does, after
+// ctxCheckInterval simulated cycles. Cancelling there rather than after a
+// wall-clock sleep guarantees partial progress however slow setup is.
+type cancelAtFirstPoll struct {
+	once sync.Once
+	done chan struct{}
+}
+
+func newCancelAtFirstPoll() *cancelAtFirstPoll {
+	return &cancelAtFirstPoll{done: make(chan struct{})}
+}
+
+func (c *cancelAtFirstPoll) Deadline() (time.Time, bool) { return time.Time{}, false }
+
+func (c *cancelAtFirstPoll) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.done) })
+	return c.done
+}
+
+func (c *cancelAtFirstPoll) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+func (c *cancelAtFirstPoll) Value(any) any { return nil }
+
 func TestProbeComputesMetricAtMaxLevel(t *testing.T) {
 	d := arch.POWER7()
-	res, err := Probe(context.Background(), d, 1, tinySpec(), 42)
+	res, err := (&Prober{}).Probe(context.Background(), d, 1, tinySpec(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +73,7 @@ func TestProbeComputesMetricAtMaxLevel(t *testing.T) {
 		t.Fatalf("non-finite probe metric %+v", res.Metric)
 	}
 	// Determinism: the same seed reproduces the same observation.
-	res2, err := Probe(context.Background(), d, 1, tinySpec(), 42)
+	res2, err := (&Prober{}).Probe(context.Background(), d, 1, tinySpec(), 42)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +85,7 @@ func TestProbeComputesMetricAtMaxLevel(t *testing.T) {
 func TestProbeHonoursCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Probe(ctx, arch.POWER7(), 1, tinySpec(), 42)
+	_, err := (&Prober{}).Probe(ctx, arch.POWER7(), 1, tinySpec(), 42)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -64,12 +97,7 @@ func TestProbeHonoursCancellation(t *testing.T) {
 func TestProbeReturnsPartialResult(t *testing.T) {
 	spec := tinySpec()
 	spec.TotalWork = 500_000_000 // far more than the deadline allows
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	res, err := Probe(ctx, arch.POWER7(), 1, spec, 42)
+	res, err := (&Prober{}).Probe(newCancelAtFirstPoll(), arch.POWER7(), 1, spec, 42)
 	if !errors.Is(err, context.Canceled) || !errors.Is(err, cpu.ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 	}

@@ -34,8 +34,8 @@ import (
 //   - Sources must be group-local: a sched.Runtime (locks, barriers) or any
 //     other mutable state shared by sources ACROSS groups would be raced.
 //     workload.Instantiate builds one runtime per instantiation, so one
-//     instantiation per group — as controller.ProbeBatch does — satisfies
-//     this by construction.
+//     instantiation per group — as controller.Prober.ProbeBatch does —
+//     satisfies this by construction.
 
 // BatchResult is the outcome of one variant group of a RunBatch: the group's
 // wall cycles, its counter snapshot (scoped to the group's chips, threads
