@@ -16,7 +16,7 @@ import (
 //     sync.WaitGroup it signals. A goroutine with none of those can
 //     outlive its parent silently, which is exactly the leak the drain
 //     and zero-goroutine-leak chaos checks exist to rule out.
-//   - lock discipline (internal/server, internal/router, internal/cpu):
+//   - lock discipline (the lockScope packages below):
 //     sync.Mutex / sync.RWMutex values must not be copied (parameters,
 //     receivers, results, plain assignments, range values), and every
 //     Lock()/RLock() must release on all paths: either a matching
@@ -31,11 +31,13 @@ var Conclint = &Analyzer{
 
 // lockScope lists the packages whose locks guard the serving path; the
 // copy and unlock disciplines are enforced there. internal/workload joined
-// when the instantiation cache put a mutex on the probe hot path, and
-// internal/placement when /v1/place put pair co-simulation on it.
+// when the instantiation cache put a mutex on the probe hot path,
+// internal/placement when /v1/place put pair co-simulation on it, and
+// internal/httpx when the daemons' shared middleware took the access-log
+// mutex.
 var lockScope = map[string]bool{
 	"internal/server": true, "internal/router": true, "internal/cpu": true,
-	"internal/workload": true, "internal/placement": true,
+	"internal/workload": true, "internal/placement": true, "internal/httpx": true,
 }
 
 func runConclint(p *Pass) {

@@ -1,8 +1,6 @@
 package router
 
 import (
-	"encoding/json"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -98,16 +96,4 @@ func (rt *Router) vars() map[string]any {
 		"latency_seconds": rt.met.latency.Snapshot(),
 		"latency_summary": rt.met.latency.Summary(),
 	}
-}
-
-// handleVars serves /debug/vars.
-func (rt *Router) handleVars(w http.ResponseWriter, _ *http.Request) {
-	body, err := json.MarshalIndent(rt.vars(), "", "  ")
-	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	//lint:ignore errlint the response write is best-effort: the client may have hung up
-	_, _ = w.Write(append(body, '\n'))
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
 	"net/http"
@@ -13,7 +12,7 @@ import (
 	"repro/api"
 	"repro/internal/arch"
 	"repro/internal/controller"
-	"repro/internal/cpu"
+	"repro/internal/httpx"
 	"repro/internal/smtsm"
 	"repro/internal/workload"
 	"repro/internal/xrand"
@@ -83,61 +82,36 @@ func decide(d *arch.Desc, measuredLevel int, m smtsm.Breakdown, th float64) Reco
 	return rec
 }
 
-// decodeJSON parses a request body, translating the error classes a client
-// can fix into one 400 message.
-func decodeJSON(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return err
-	}
-	return nil
-}
-
 // handleMetric serves POST /v1/metric.
 func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
 	var req MetricRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad metric request: %v", err)
+	if err := httpx.DecodeJSON(r, &req); err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad metric request: %v", err)
 		return
 	}
 	d, err := s.reqArch(req.Arch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	th, err := s.reqThreshold(req.Threshold)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	key := fmt.Sprintf("metric|%s|%016x|%016x", d.Name, math.Float64bits(th), req.Snapshot.Fingerprint())
-	cached, fresh, found := s.cacheGet(r.Context(), key)
-	if found && fresh {
-		cached.Cached = true
-		writeJSON(w, http.StatusOK, cached)
-		return
-	}
-	var stale *Recommendation
-	if found {
-		stale = &cached
-	}
-	if !s.admit(r.Context(), w, stale) {
-		return
-	}
-	defer s.lim.release()
-
-	measured := req.Snapshot.SMTLevel
-	if measured == 0 {
-		measured = d.MaxSMT
-	}
-	rec := decide(d, measured, smtsm.Compute(d, &req.Snapshot), th)
-	rec.Fingerprint = fmt.Sprintf("%016x", req.Snapshot.Fingerprint())
-	if measured != d.MaxSMT {
-		rec.Warning = fmt.Sprintf("snapshot measured at SMT%d: the metric is only reliable at the maximum level SMT%d", measured, d.MaxSMT)
-	}
-	s.cacheAdd(r.Context(), key, rec)
-	writeJSON(w, http.StatusOK, rec)
+	s.metricEP.serve(w, r, key, func(context.Context) (Recommendation, error) {
+		measured := req.Snapshot.SMTLevel
+		if measured == 0 {
+			measured = d.MaxSMT
+		}
+		rec := decide(d, measured, smtsm.Compute(d, &req.Snapshot), th)
+		rec.Fingerprint = fmt.Sprintf("%016x", req.Snapshot.Fingerprint())
+		if measured != d.MaxSMT {
+			rec.Warning = fmt.Sprintf("snapshot measured at SMT%d: the metric is only reliable at the maximum level SMT%d", measured, d.MaxSMT)
+		}
+		return rec, nil
+	})
 }
 
 // handleAnalyze serves POST /v1/analyze. The probe path degrades
@@ -146,18 +120,18 @@ func (s *Server) handleMetric(w http.ResponseWriter, r *http.Request) {
 // cut off by the circuit breaker, saturation or the request deadline.
 func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req AnalyzeRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad analyze request: %v", err)
+	if err := httpx.DecodeJSON(r, &req); err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad analyze request: %v", err)
 		return
 	}
 	d, err := s.reqArch(req.Arch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	th, err := s.reqThreshold(req.Threshold)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	chips := req.Chips
@@ -165,211 +139,73 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		chips = s.cfg.Chips
 	}
 	if chips < 1 {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "chips %d: need >= 1", req.Chips)
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "chips %d: need >= 1", req.Chips)
 		return
 	}
 	var spec *workload.Spec
 	switch {
 	case req.Bench != "" && req.Spec != nil:
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "set either bench or spec, not both")
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "set either bench or spec, not both")
 		return
 	case req.Bench != "":
 		spec, err = workload.Get(req.Bench)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, api.CodeBadRequest, "unknown bench %q (known: %s)",
+			httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "unknown bench %q (known: %s)",
 				req.Bench, strings.Join(workload.Names(), ", "))
 			return
 		}
 	case req.Spec != nil:
 		spec = req.Spec // UnmarshalJSON already validated it
 	default:
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "one of bench or spec is required")
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "one of bench or spec is required")
 		return
 	}
 
 	specJSON, err := json.Marshal(spec)
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising spec: %v", err)
+		httpx.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising spec: %v", err)
 		return
 	}
 	key := fmt.Sprintf("analyze|%s|%d|%d|%016x|%016x",
 		d.Name, chips, req.Seed, math.Float64bits(th), xrand.HashBytes(specJSON))
-	cached, fresh, found := s.cacheGet(r.Context(), key)
-	if found && fresh {
-		cached.Cached = true
-		writeJSON(w, http.StatusOK, cached)
-		return
-	}
-	var stale *Recommendation
-	if found {
-		stale = &cached
-	}
-
-	if s.cfg.CoalesceWindow < 0 {
-		// Coalescing disabled: this request runs a private flight.
-		f := &flight[probeOutcome]{}
-		f.val.rec, f.val.res, f.err = s.runProbeFlight(r.Context(), key, d, chips, spec, req.Seed, th)
-		s.serveFlight(w, f, d, spec, th, stale)
-		return
-	}
-	f, leader := s.flights.join(key)
-	if !leader {
-		// Waiter: park for the leader's outcome, holding no worker slot.
-		s.met.coalesced.Add(1)
-		select {
-		case <-f.done:
-		case <-r.Context().Done():
-			s.met.timeouts.Add(1)
-			if stale != nil {
-				s.serveStale(w, *stale, "request expired awaiting coalesced probe")
-				return
-			}
-			writeError(w, http.StatusGatewayTimeout, api.CodeProbeTimeout, "request expired awaiting coalesced probe: %v", r.Context().Err())
-			return
+	s.analyzeEP.serve(w, r, key, func(ctx context.Context) (Recommendation, error) {
+		res, err := s.runProbe(ctx, d, chips, spec, req.Seed)
+		if err != nil && res.Snapshot.Retired == 0 {
+			return Recommendation{}, err // nothing to build a partial answer from
 		}
-		s.serveFlight(w, f, d, spec, th, stale)
-		return
-	}
-	s.met.flights.Add(1)
-	f.val.rec, f.val.res, f.err = s.runProbeFlight(r.Context(), key, d, chips, spec, req.Seed, th)
-	s.flights.finish(key, f)
-	s.serveFlight(w, f, d, spec, th, stale)
+		// A probe cut short still carries the interval data it completed
+		// (cpu.RunContext semantics): render it, so the degradation ladder
+		// can answer from it rather than discard the work.
+		rec := decide(d, d.MaxSMT, res.Metric, th)
+		rec.WallCycles = res.WallCycles
+		rec.Bench = spec.Name
+		rec.Fingerprint = fmt.Sprintf("%016x", res.Snapshot.Fingerprint())
+		return rec, err
+	})
 }
 
-// runProbeFlight runs the leader's side of one probe flight: cache
-// double-check, admission, breaker gate, batch-admission window, the probe
-// itself, breaker bookkeeping and the cache insert. It never writes a
-// response — the outcome fans out through the flight, and serveFlight maps
-// it onto each waiting request individually.
-func (s *Server) runProbeFlight(ctx context.Context, key string, d *arch.Desc, chips int, spec *workload.Spec, seed uint64, th float64) (Recommendation, controller.ProbeResult, error) {
-	// Double-check the cache under flight leadership: a previous flight for
-	// this key may have completed between this request's cache miss and its
-	// join, and that freshly cached answer must win over a duplicate probe.
-	if cached, fresh, found := s.cacheGet(ctx, key); found && fresh {
-		cached.Cached = true
-		return cached, controller.ProbeResult{}, nil
-	}
-	if err := s.lim.acquire(ctx); err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			return Recommendation{}, controller.ProbeResult{}, errFlightShed
-		}
-		return Recommendation{}, controller.ProbeResult{}, fmt.Errorf("%w: %v", errFlightExpired, err)
-	}
-	defer s.lim.release()
-	// The breaker gate sits after admission so a half-open trial that wins
-	// the gate always runs (and therefore always reports back): every probe
-	// below passes through onSuccess, onFailure or onNeutral.
-	if !s.brk.allow() {
-		return Recommendation{}, controller.ProbeResult{}, errFlightBreaker
-	}
-	var res controller.ProbeResult
-	var err error
+// runProbe is the analyze computation's probe step: the batch-admission
+// window, or the batched pass, then the probe itself. The caller holds a
+// worker slot and has passed the breaker gate.
+func (s *Server) runProbe(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
 	if s.batch != nil {
 		// Batching on: the admission window is spent inside the batch
 		// group, draining concurrent distinct probes of this machine shape
 		// into one batched pass (batch.go).
-		res, err = s.batchProbe(ctx, d, chips, spec, seed)
-	} else {
-		if win := s.cfg.CoalesceWindow; win > 0 {
-			// Batch admission: hold the probe back so the rest of a burst can
-			// still join this flight instead of racing it to completion. An
-			// expiring context just falls through — the probe fails fast and the
-			// outcome takes the normal aborted-probe path.
-			t := time.NewTimer(win)
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-			}
-			t.Stop()
-		}
-		s.met.probes.Add(1)
-		res, err = s.probe(ctx, d, chips, spec, seed)
+		return s.batchProbe(ctx, d, chips, spec, seed)
 	}
-	if err != nil {
-		timedOut := errors.Is(err, context.DeadlineExceeded)
-		canceled := errors.Is(err, context.Canceled) || errors.Is(err, cpu.ErrCanceled)
-		// A client that went away is not a sick probe; only deadline and
-		// organic failures count against the breaker.
-		if timedOut || !canceled {
-			s.brk.onFailure()
-		} else {
-			s.brk.onNeutral()
+	if win := s.cfg.CoalesceWindow; win > 0 {
+		// Batch admission: hold the probe back so the rest of a burst can
+		// still join this flight instead of racing it to completion. An
+		// expiring context just falls through — the probe fails fast and
+		// the outcome takes the normal aborted-probe path.
+		t := time.NewTimer(win)
+		select {
+		case <-t.C:
+		case <-ctx.Done():
 		}
-		return Recommendation{}, res, err
+		t.Stop()
 	}
-	s.brk.onSuccess()
-	rec := decide(d, d.MaxSMT, res.Metric, th)
-	rec.WallCycles = res.WallCycles
-	rec.Bench = spec.Name
-	rec.Fingerprint = fmt.Sprintf("%016x", res.Snapshot.Fingerprint())
-	s.cacheAdd(ctx, key, rec)
-	return rec, res, nil
-}
-
-// serveFlight maps one flight outcome onto one request's response,
-// applying that request's own degradation fallback (its stale cached
-// answer, if any). Breaker bookkeeping already happened exactly once in
-// runProbeFlight; here the outcome only has to be rendered.
-func (s *Server) serveFlight(w http.ResponseWriter, f *flight[probeOutcome], d *arch.Desc, spec *workload.Spec, th float64, stale *Recommendation) {
-	switch {
-	case f.err == nil:
-		writeJSON(w, http.StatusOK, f.val.rec)
-	case errors.Is(f.err, errFlightShed):
-		s.met.shed.Add(1)
-		if stale != nil {
-			s.serveStale(w, *stale, "server saturated")
-			return
-		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, api.CodeRateLimited, "worker queue full, retry later")
-	case errors.Is(f.err, errFlightExpired):
-		s.met.timeouts.Add(1)
-		if stale != nil {
-			s.serveStale(w, *stale, "request expired while queued")
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, api.CodeQueueTimeout, "%v", f.err)
-	case errors.Is(f.err, errFlightBreaker):
-		if stale != nil {
-			s.serveStale(w, *stale, "probe circuit breaker open")
-			return
-		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, api.CodeBreakerOpen, "probe circuit breaker open, retry later")
-	default:
-		s.probeDegrade(w, f.err, f.val.res, d, spec, th, stale)
-	}
-}
-
-// probeDegrade routes a failed probe through the degradation ladder:
-// serve a stale cached answer, else a partial-probe answer, else the
-// api.Error envelope for the failure class.
-func (s *Server) probeDegrade(w http.ResponseWriter, err error, res controller.ProbeResult, d *arch.Desc, spec *workload.Spec, th float64, stale *Recommendation) {
-	timedOut := errors.Is(err, context.DeadlineExceeded)
-	canceled := errors.Is(err, context.Canceled) || errors.Is(err, cpu.ErrCanceled)
-	if timedOut || canceled {
-		s.met.timeouts.Add(1)
-		if stale != nil {
-			s.serveStale(w, *stale, fmt.Sprintf("probe aborted (%v)", err))
-			return
-		}
-		if res.Snapshot.Retired > 0 {
-			// The deadline cut the probe short but completed interval data
-			// exists (cpu.RunContext semantics): answer from it rather
-			// than discarding the work.
-			rec := decide(d, d.MaxSMT, res.Metric, th)
-			rec.WallCycles = res.WallCycles
-			rec.Bench = spec.Name
-			rec.Fingerprint = fmt.Sprintf("%016x", res.Snapshot.Fingerprint())
-			s.servePartial(w, rec, res.WallCycles)
-			return
-		}
-		writeError(w, http.StatusGatewayTimeout, api.CodeProbeTimeout, "probe aborted: %v", err)
-		return
-	}
-	if stale != nil {
-		s.serveStale(w, *stale, fmt.Sprintf("probe failed (%v)", err))
-		return
-	}
-	writeError(w, http.StatusInternalServerError, api.CodeProbeFailed, "probe failed: %v", err)
+	s.met.probes.Add(1)
+	return s.probe(ctx, d, chips, spec, seed)
 }

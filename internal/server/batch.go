@@ -16,10 +16,10 @@ import (
 // aggregation. Coalescing (coalesce.go) merges IDENTICAL analyze requests
 // into one flight; batching additionally drains the DISTINCT flights that
 // open within one admission window — different workloads, same machine
-// shape — into one controller.ProbeBatch pass, which simulates all variants
-// concurrently on disjoint chip groups of a single machine (cpu.RunBatch).
-// A scoring burst of B candidate workloads then costs one batched pass
-// instead of B serial simulations.
+// shape — into one controller.Prober.ProbeBatch pass, which simulates all
+// variants concurrently on disjoint chip groups of a single machine
+// (cpu.RunBatch). A scoring burst of B candidate workloads then costs one
+// batched pass instead of B serial simulations.
 //
 // Shape of the path: every flight leader that reaches the probe step joins
 // a batch group keyed by (arch, chips). The first joiner is the group's
@@ -72,7 +72,7 @@ func newBatcher(max int) *batcher {
 }
 
 // batchProbe is the probe step of a flight leader on a batching server: it
-// replaces the plain window-sleep-then-probe sequence of runProbeFlight.
+// replaces the plain window-sleep-then-probe sequence of runProbe.
 // The caller already holds a worker slot and has passed the breaker gate,
 // exactly as for a solo probe.
 func (s *Server) batchProbe(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
@@ -111,7 +111,7 @@ func (s *Server) batchProbe(ctx context.Context, d *arch.Desc, chips int, spec *
 		case <-ctx.Done():
 			// This request gives up on the pass; the opener still runs its
 			// variant and the result is simply unclaimed. The error keeps
-			// the context sentinel so runProbeFlight classifies it exactly
+			// the context sentinel so the pipeline classifies it exactly
 			// like an abandoned solo probe.
 			return controller.ProbeResult{}, fmt.Errorf("batched probe abandoned: %w", ctx.Err())
 		}

@@ -3,9 +3,6 @@ package server
 import (
 	"errors"
 	"sync"
-
-	"repro/api"
-	"repro/internal/controller"
 )
 
 // Probe coalescing: the experiments Runner's singleflight idiom lifted into
@@ -42,19 +39,11 @@ var (
 	errFlightBreaker = errors.New("server: probe circuit breaker open")
 )
 
-// probeOutcome is the payload of an analyze flight: the rendered
-// recommendation plus the raw probe result the degradation ladder may
-// salvage a partial answer from.
-type probeOutcome struct {
-	rec api.Recommendation
-	res controller.ProbeResult
-}
-
 // flight is one in-flight computation. The leader fills val/err and then
 // closes done; waiters read the fields only after done is closed. The
-// payload is generic so analyze flights (probeOutcome) and placement
-// flights (api.PlaceResponse) share one coalescing mechanism — and one
-// determinism contract.
+// payload is the endpoint's answer type, so analyze flights
+// (api.Recommendation) and placement flights (api.PlaceResponse) share one
+// coalescing mechanism — and one determinism contract.
 type flight[T any] struct {
 	done chan struct{}
 	val  T

@@ -1,8 +1,6 @@
 package server
 
 import (
-	"encoding/json"
-	"net/http"
 	"sync/atomic"
 	"time"
 
@@ -142,16 +140,4 @@ func (s *Server) vars() map[string]any {
 		"latency_seconds": s.met.latency.Snapshot(),
 		"latency_summary": s.met.latency.Summary(),
 	}
-}
-
-// handleVars serves /debug/vars.
-func (s *Server) handleVars(w http.ResponseWriter, _ *http.Request) {
-	body, err := json.MarshalIndent(s.vars(), "", "  ")
-	if err != nil {
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	//lint:ignore errlint the response write is best-effort: the client may have hung up
-	_, _ = w.Write(append(body, '\n'))
 }

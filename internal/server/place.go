@@ -2,21 +2,20 @@ package server
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"net/http"
 
 	"repro/api"
-	"repro/internal/cpu"
-	"repro/internal/fault"
+	"repro/internal/httpx"
 	"repro/internal/placement"
 	"repro/internal/xrand"
 )
 
-// POST /v1/place: the placement path reuses every hardening layer the
-// analyze path has — canonical-hash cache keying, flight coalescing,
-// bounded admission, the probe circuit breaker and the degradation
-// ladder (stale cached placement → partial placement, Warning 110/199).
+// POST /v1/place runs the endpoint pipeline (endpoint.go) with the
+// placement engine as its computation: canonical-hash cache keying, flight
+// coalescing, bounded admission, the probe circuit breaker and the
+// degradation ladder (stale cached placement → partial placement, Warning
+// 110/199).
 // The cache and flight key is the hash of placement.Input.Canonical, so
 // two requests that differ only in JSON field order, workload order or
 // defaulted fields share one cache entry and one co-simulation flight.
@@ -29,228 +28,31 @@ func placeKey(canonical []byte) string {
 // handlePlace serves POST /v1/place.
 func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 	var req api.PlaceRequest
-	if err := decodeJSON(r, &req); err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "bad place request: %v", err)
+	if err := httpx.DecodeJSON(r, &req); err != nil {
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad place request: %v", err)
 		return
 	}
 	d, err := s.reqArch(req.Arch)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	in, err := placement.Resolve(d, s.cfg.Chips, req)
 	if err != nil {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
 		return
 	}
 	canonical, err := in.Canonical()
 	if err != nil {
-		writeError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising place request: %v", err)
+		httpx.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising place request: %v", err)
 		return
 	}
-	key := placeKey(canonical)
-	cached, fresh, found := s.placeCacheGet(r.Context(), key)
-	if found && fresh {
-		cached.Cached = true
-		writeJSON(w, http.StatusOK, cached)
-		return
-	}
-	var stale *api.PlaceResponse
-	if found {
-		stale = &cached
-	}
-
-	if s.cfg.CoalesceWindow < 0 {
-		// Coalescing disabled: this request runs a private flight.
-		f := &flight[api.PlaceResponse]{}
-		f.val, f.err = s.runPlaceFlight(r.Context(), key, in)
-		s.servePlaceFlight(w, f, stale)
-		return
-	}
-	f, leader := s.placeFlights.join(key)
-	if !leader {
-		// Waiter: park for the leader's outcome, holding no worker slot.
-		s.met.placeCoalesced.Add(1)
-		select {
-		case <-f.done:
-		case <-r.Context().Done():
-			s.met.timeouts.Add(1)
-			if stale != nil {
-				s.servePlaceStale(w, *stale, "request expired awaiting coalesced placement")
-				return
-			}
-			writeError(w, http.StatusGatewayTimeout, api.CodeProbeTimeout, "request expired awaiting coalesced placement: %v", r.Context().Err())
-			return
-		}
-		s.servePlaceFlight(w, f, stale)
-		return
-	}
-	s.met.flights.Add(1)
-	f.val, f.err = s.runPlaceFlight(r.Context(), key, in)
-	s.placeFlights.finish(key, f)
-	s.servePlaceFlight(w, f, stale)
-}
-
-// runPlaceFlight runs the leader's side of one placement flight: cache
-// double-check, admission, breaker gate, the co-simulation itself,
-// breaker bookkeeping and the cache insert — the exact shape of
-// runProbeFlight with the placement engine in the probe's seat.
-func (s *Server) runPlaceFlight(ctx context.Context, key string, in *placement.Input) (api.PlaceResponse, error) {
-	if cached, fresh, found := s.placeCacheGet(ctx, key); found && fresh {
-		cached.Cached = true
-		return cached, nil
-	}
-	if err := s.lim.acquire(ctx); err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			return api.PlaceResponse{}, errFlightShed
-		}
-		return api.PlaceResponse{}, fmt.Errorf("%w: %v", errFlightExpired, err)
-	}
-	defer s.lim.release()
-	if !s.brk.allow() {
-		return api.PlaceResponse{}, errFlightBreaker
-	}
-	s.met.placements.Add(1)
-	resp, err := s.place(ctx, in)
-	if err != nil {
-		timedOut := errors.Is(err, context.DeadlineExceeded)
-		canceled := errors.Is(err, context.Canceled) || errors.Is(err, cpu.ErrCanceled)
-		switch {
-		case errors.Is(err, placement.ErrInfeasible):
-			// A constraint system with no solution is the client's doing,
-			// not a sick engine.
-			s.brk.onNeutral()
-		case timedOut || !canceled:
-			s.brk.onFailure()
-		default:
-			s.brk.onNeutral()
+	s.placeEP.serve(w, r, placeKey(canonical), func(ctx context.Context) (api.PlaceResponse, error) {
+		s.met.placements.Add(1)
+		resp, err := s.place(ctx, in)
+		if err == nil {
+			s.met.placePairs.Add(uint64(len(resp.PairScores)))
 		}
 		return resp, err
-	}
-	s.brk.onSuccess()
-	s.met.placePairs.Add(uint64(len(resp.PairScores)))
-	s.placeCacheAdd(ctx, key, resp)
-	return resp, nil
-}
-
-// servePlaceFlight maps one flight outcome onto one request's response,
-// applying that request's own stale fallback — the placement rendering of
-// serveFlight.
-func (s *Server) servePlaceFlight(w http.ResponseWriter, f *flight[api.PlaceResponse], stale *api.PlaceResponse) {
-	switch {
-	case f.err == nil:
-		writeJSON(w, http.StatusOK, f.val)
-	case errors.Is(f.err, errFlightShed):
-		s.met.shed.Add(1)
-		if stale != nil {
-			s.servePlaceStale(w, *stale, "server saturated")
-			return
-		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusTooManyRequests, api.CodeRateLimited, "worker queue full, retry later")
-	case errors.Is(f.err, errFlightExpired):
-		s.met.timeouts.Add(1)
-		if stale != nil {
-			s.servePlaceStale(w, *stale, "request expired while queued")
-			return
-		}
-		writeError(w, http.StatusServiceUnavailable, api.CodeQueueTimeout, "%v", f.err)
-	case errors.Is(f.err, errFlightBreaker):
-		if stale != nil {
-			s.servePlaceStale(w, *stale, "probe circuit breaker open")
-			return
-		}
-		w.Header().Set("Retry-After", "1")
-		writeError(w, http.StatusServiceUnavailable, api.CodeBreakerOpen, "probe circuit breaker open, retry later")
-	default:
-		s.placeDegrade(w, f.err, f.val, stale)
-	}
-}
-
-// placeDegrade routes a failed placement through the degradation ladder:
-// stale cached placement, else the partial placement the engine solved
-// from the pairs it scored before the deadline, else the api.Error
-// envelope for the failure class.
-func (s *Server) placeDegrade(w http.ResponseWriter, err error, partial api.PlaceResponse, stale *api.PlaceResponse) {
-	if errors.Is(err, placement.ErrInfeasible) {
-		writeError(w, http.StatusBadRequest, api.CodeBadRequest, "%v", err)
-		return
-	}
-	timedOut := errors.Is(err, context.DeadlineExceeded)
-	canceled := errors.Is(err, context.Canceled) || errors.Is(err, cpu.ErrCanceled)
-	if timedOut || canceled {
-		s.met.timeouts.Add(1)
-		if stale != nil {
-			s.servePlaceStale(w, *stale, fmt.Sprintf("placement aborted (%v)", err))
-			return
-		}
-		if len(partial.PairScores) > 0 {
-			// The deadline cut the scoring pass short but the engine still
-			// solved with the pairs it finished: answer from it rather than
-			// discarding the work.
-			s.servePlacePartial(w, partial)
-			return
-		}
-		writeError(w, http.StatusGatewayTimeout, api.CodeProbeTimeout, "placement aborted: %v", err)
-		return
-	}
-	if stale != nil {
-		s.servePlaceStale(w, *stale, fmt.Sprintf("placement failed (%v)", err))
-		return
-	}
-	writeError(w, http.StatusInternalServerError, api.CodeProbeFailed, "placement failed: %v", err)
-}
-
-// servePlaceStale answers 200 with a stale cached placement, marked
-// degraded, when the fresh path is unavailable.
-func (s *Server) servePlaceStale(w http.ResponseWriter, resp api.PlaceResponse, cause string) {
-	reason := cause + ": serving last known placement"
-	resp.Cached = true
-	resp.Degraded = true
-	if resp.Warning != "" {
-		resp.Warning = reason + "; " + resp.Warning
-	} else {
-		resp.Warning = reason
-	}
-	s.met.degraded.Add(1)
-	s.met.staleServed.Add(1)
-	w.Header().Set("Warning", warnHeader(110, reason))
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// servePlacePartial answers 200 with a placement solved from an
-// incomplete scoring pass, marked degraded.
-func (s *Server) servePlacePartial(w http.ResponseWriter, resp api.PlaceResponse) {
-	reason := fmt.Sprintf("partial placement: deadline expired with %d pair scores gathered", len(resp.PairScores))
-	resp.Degraded = true
-	if resp.Warning != "" {
-		resp.Warning = reason + "; " + resp.Warning
-	} else {
-		resp.Warning = reason
-	}
-	s.met.degraded.Add(1)
-	s.met.partialServed.Add(1)
-	w.Header().Set("Warning", warnHeader(199, reason))
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// placeCacheGet / placeCacheAdd are cacheGet/cacheAdd for placement
-// responses; the LRU stores both response kinds under disjoint key
-// prefixes ("place|" here).
-func (s *Server) placeCacheGet(ctx context.Context, key string) (api.PlaceResponse, bool, bool) {
-	if err := s.cfg.Faults.Inject(ctx, fault.OpCacheGet); err != nil {
-		return api.PlaceResponse{}, false, false
-	}
-	v, fresh, ok := s.cache.get(key, s.cfg.CacheTTL)
-	if !ok {
-		return api.PlaceResponse{}, false, false
-	}
-	return v.(api.PlaceResponse), fresh, true
-}
-
-func (s *Server) placeCacheAdd(ctx context.Context, key string, resp api.PlaceResponse) {
-	if err := s.cfg.Faults.Inject(ctx, fault.OpCacheAdd); err != nil {
-		return
-	}
-	s.cache.add(key, resp)
+	})
 }

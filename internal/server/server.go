@@ -23,15 +23,12 @@ package server
 
 import (
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"math"
 	"net/http"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -40,13 +37,10 @@ import (
 	"repro/internal/controller"
 	"repro/internal/cpu"
 	"repro/internal/fault"
+	"repro/internal/httpx"
 	"repro/internal/placement"
 	"repro/internal/workload"
 )
-
-// maxBodyBytes bounds request bodies; counter snapshots and workload specs
-// are tiny, so anything near this limit is abuse.
-const maxBodyBytes = 1 << 20
 
 // Config tunes the advisor service.
 type Config struct {
@@ -91,9 +85,10 @@ type Config struct {
 	// MaxBatch, when >= 2, upgrades the admission window from deduplication
 	// to aggregation: up to MaxBatch DISTINCT analyze probes of the same
 	// machine shape (arch, chips) that open within one window drain into a
-	// single batched simulation pass (controller.ProbeBatch), each variant
-	// on its own disjoint chip group. Responses stay byte-identical to solo
-	// probes. Requires a positive CoalesceWindow; 0 or 1 disables batching.
+	// single batched simulation pass (controller.Prober.ProbeBatch), each
+	// variant on its own disjoint chip group. Responses stay byte-identical
+	// to solo probes. Requires a positive CoalesceWindow; 0 or 1 disables
+	// batching.
 	MaxBatch int
 	// Faults optionally injects scheduled faults into the probe and cache
 	// paths for chaos testing (nil = no injection; see internal/fault).
@@ -188,8 +183,8 @@ type Server struct {
 	cache        *lruCache
 	brk          *breaker
 	met          *metrics
-	mux          *http.ServeMux
-	flights      *flightGroup[probeOutcome]
+	handler      http.Handler
+	flights      *flightGroup[Recommendation]
 	placeFlights *flightGroup[api.PlaceResponse]
 	probe        probeFunc
 	place        placeFunc
@@ -198,7 +193,10 @@ type Server struct {
 	pool         *cpu.Pool
 	progs        *workload.Cache
 	draining     atomic.Bool
-	logMu        sync.Mutex
+
+	// The POST endpoints' request pipelines (endpoint.go).
+	metricEP, analyzeEP *endpoint[Recommendation]
+	placeEP             *endpoint[api.PlaceResponse]
 }
 
 // New builds the service from a validated configuration.
@@ -218,7 +216,7 @@ func New(cfg Config) (*Server, error) {
 		cache:        newLRUCache(cfg.CacheSize),
 		brk:          newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
 		met:          newMetrics(),
-		flights:      newFlightGroup[probeOutcome](),
+		flights:      newFlightGroup[Recommendation](),
 		placeFlights: newFlightGroup[api.PlaceResponse](),
 		// At most Workers probes run at once, so Workers machines per
 		// (arch, chips) key covers the steady state.
@@ -256,34 +254,52 @@ func New(cfg Config) (*Server, error) {
 		}
 		return engine.Place(ctx, in)
 	}
-	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
-	s.mux.HandleFunc("GET /debug/vars", s.handleVars)
-	s.mux.HandleFunc("POST /v1/metric", s.handleMetric)
-	s.mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
-	s.mux.HandleFunc("POST /v1/place", s.handlePlace)
+	recMarks := func(r *Recommendation) marks { return marks{&r.Cached, &r.Degraded, &r.Warning} }
+	s.metricEP = &endpoint[Recommendation]{s: s, noun: "metric", answer: "recommendation", marks: recMarks}
+	s.analyzeEP = &endpoint[Recommendation]{
+		s: s, noun: "probe", answer: "recommendation",
+		flights:   s.flights,
+		coalesced: func() { s.met.coalesced.Add(1) },
+		marks:     recMarks,
+		// The analyze computation renders a recommendation alongside an
+		// error only from a probe that retired instructions, so a
+		// fingerprint marks a usable partial answer.
+		partial: func(rec Recommendation) (string, bool) {
+			return fmt.Sprintf("partial probe: deadline expired after %d simulated cycles", rec.WallCycles), rec.Fingerprint != ""
+		},
+	}
+	s.placeEP = &endpoint[api.PlaceResponse]{
+		s: s, noun: "placement", answer: "placement",
+		flights:   s.placeFlights,
+		coalesced: func() { s.met.placeCoalesced.Add(1) },
+		marks:     func(r *api.PlaceResponse) marks { return marks{&r.Cached, &r.Degraded, &r.Warning} },
+		// The engine solves from the pairs it scored before the deadline.
+		partial: func(resp api.PlaceResponse) (string, bool) {
+			return fmt.Sprintf("partial placement: deadline expired with %d pair scores gathered", len(resp.PairScores)), len(resp.PairScores) > 0
+		},
+		// A constraint system with no solution is the client's doing, not
+		// a sick engine.
+		clientErr: placement.ErrInfeasible,
+	}
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /healthz", s.handleHealthz)
+	mux.Handle("GET /debug/vars", httpx.Vars(s.vars))
+	mux.HandleFunc("POST /v1/metric", s.handleMetric)
+	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
+	mux.HandleFunc("POST /v1/place", s.handlePlace)
+	mw := &httpx.Middleware{
+		Timeout: cfg.RequestTimeout,
+		Now:     time.Now,
+		Observe: s.met.observe,
+		Log:     cfg.AccessLog,
+	}
+	s.handler = mw.Wrap(mux)
 	return s, nil
 }
 
 // Handler returns the full request pipeline: routing wrapped with the
 // timeout, metrics and access-logging middleware.
-func (s *Server) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		ctx := r.Context()
-		if s.cfg.RequestTimeout > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.RequestTimeout)
-			defer cancel()
-		}
-		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
-		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
-		s.mux.ServeHTTP(rec, r.WithContext(ctx))
-		elapsed := time.Since(start)
-		s.met.observe(rec.status, elapsed)
-		s.accessLog(r, rec.status, rec.bytes, elapsed)
-	})
-}
+func (s *Server) Handler() http.Handler { return s.handler }
 
 // BeginDrain flips the server into draining mode: /healthz answers 503 so
 // load balancers stop routing here, while in-flight and queued requests run
@@ -292,47 +308,6 @@ func (s *Server) BeginDrain() { s.draining.Store(true) }
 
 // Draining reports whether BeginDrain was called.
 func (s *Server) Draining() bool { return s.draining.Load() }
-
-// statusRecorder captures the response status and size for logs/metrics.
-type statusRecorder struct {
-	http.ResponseWriter
-	status int
-	bytes  int64
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.status = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-func (r *statusRecorder) Write(b []byte) (int, error) {
-	n, err := r.ResponseWriter.Write(b)
-	r.bytes += int64(n)
-	return n, err
-}
-
-// accessLog emits one structured JSON line per request.
-func (s *Server) accessLog(r *http.Request, status int, bytes int64, elapsed time.Duration) {
-	if s.cfg.AccessLog == nil {
-		return
-	}
-	line, err := json.Marshal(map[string]any{
-		"time":   time.Now().UTC().Format(time.RFC3339Nano),
-		"method": r.Method,
-		"path":   r.URL.Path,
-		"status": status,
-		"bytes":  bytes,
-		"dur_ms": float64(elapsed.Microseconds()) / 1000,
-		"remote": r.RemoteAddr,
-	})
-	if err != nil {
-		return
-	}
-	s.logMu.Lock()
-	defer s.logMu.Unlock()
-	//lint:ignore errlint access logging is best-effort by design: a full log disk must not fail requests
-	_, _ = s.cfg.AccessLog.Write(append(line, '\n'))
-}
 
 // resolveArch maps a request/config architecture name to its description.
 func resolveArch(name string) (*arch.Desc, error) {
@@ -348,126 +323,12 @@ func resolveArch(name string) (*arch.Desc, error) {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	body, err := json.Marshal(v)
-	if err != nil {
-		// Marshal of the server's own response types cannot fail; if it
-		// ever does, a 500 with no body beats a silently truncated 200.
-		w.WriteHeader(http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	//lint:ignore errlint the response write is best-effort: the client may have hung up, and the status is already committed
-	_, _ = w.Write(append(body, '\n'))
-}
-
-// writeError emits the api.Error envelope every non-2xx response carries:
-// a human-readable message under "error" and the machine-readable code
-// clients branch on.
-func writeError(w http.ResponseWriter, status int, code string, format string, args ...any) {
-	writeJSON(w, status, api.Error{Message: fmt.Sprintf(format, args...), Code: code})
-}
-
 // handleHealthz answers liveness probes; a draining server reports 503 so
 // balancers stop sending new work while in-flight requests finish.
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	if s.draining.Load() {
-		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
+		httpx.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-// admit runs the bounded-concurrency admission for one request. When
-// admission fails and the caller holds a stale cached recommendation, the
-// request is answered from it (marked degraded) instead of bouncing — the
-// graceful-degradation path; with nothing to fall back on, the limiter
-// failure maps to 429 (queue full) or 503 (expired while queued). Either
-// way the response has been written when admit returns false. On success
-// the caller must call s.lim.release().
-func (s *Server) admit(ctx context.Context, w http.ResponseWriter, stale *api.Recommendation) bool {
-	if err := s.lim.acquire(ctx); err != nil {
-		if errors.Is(err, ErrQueueFull) {
-			s.met.shed.Add(1)
-			if stale != nil {
-				s.serveStale(w, *stale, "server saturated")
-				return false
-			}
-			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, api.CodeRateLimited, "worker queue full, retry later")
-		} else {
-			s.met.timeouts.Add(1)
-			if stale != nil {
-				s.serveStale(w, *stale, "request expired while queued")
-				return false
-			}
-			writeError(w, http.StatusServiceUnavailable, api.CodeQueueTimeout, "request expired while queued: %v", err)
-		}
-		return false
-	}
-	return true
-}
-
-// warnHeader formats the RFC 7234 Warning header carried by every degraded
-// response; code 110 ("response is stale") for stale answers, 199 for
-// partial-probe answers.
-func warnHeader(code int, reason string) string {
-	return fmt.Sprintf("%d smtservd %q", code, reason)
-}
-
-// serveStale answers 200 with a stale cached recommendation, marked
-// degraded, when the fresh path is unavailable.
-func (s *Server) serveStale(w http.ResponseWriter, rec api.Recommendation, cause string) {
-	reason := cause + ": serving last known recommendation"
-	rec.Cached = true
-	rec.Degraded = true
-	if rec.Warning != "" {
-		rec.Warning = reason + "; " + rec.Warning
-	} else {
-		rec.Warning = reason
-	}
-	s.met.degraded.Add(1)
-	s.met.staleServed.Add(1)
-	w.Header().Set("Warning", warnHeader(110, reason))
-	writeJSON(w, http.StatusOK, rec)
-}
-
-// servePartial answers 200 with a recommendation computed from a probe cut
-// short by the request deadline, marked degraded.
-func (s *Server) servePartial(w http.ResponseWriter, rec api.Recommendation, wall int64) {
-	reason := fmt.Sprintf("partial probe: deadline expired after %d simulated cycles", wall)
-	rec.Degraded = true
-	if rec.Warning != "" {
-		rec.Warning = reason + "; " + rec.Warning
-	} else {
-		rec.Warning = reason
-	}
-	s.met.degraded.Add(1)
-	s.met.partialServed.Add(1)
-	w.Header().Set("Warning", warnHeader(199, reason))
-	writeJSON(w, http.StatusOK, rec)
-}
-
-// cacheGet looks up a recommendation, routing the lookup through the fault
-// injector: an injected failure is observed as a miss, an injected delay
-// as a slow lookup.
-func (s *Server) cacheGet(ctx context.Context, key string) (api.Recommendation, bool, bool) {
-	if err := s.cfg.Faults.Inject(ctx, fault.OpCacheGet); err != nil {
-		return api.Recommendation{}, false, false
-	}
-	v, fresh, ok := s.cache.get(key, s.cfg.CacheTTL)
-	if !ok {
-		return api.Recommendation{}, false, false
-	}
-	return v.(api.Recommendation), fresh, true
-}
-
-// cacheAdd stores a recommendation unless the fault injector drops the
-// insert.
-func (s *Server) cacheAdd(ctx context.Context, key string, rec api.Recommendation) {
-	if err := s.cfg.Faults.Inject(ctx, fault.OpCacheAdd); err != nil {
-		return
-	}
-	s.cache.add(key, rec)
+	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

@@ -193,6 +193,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzReader -fuzztime 10s ./internal/trace
 	go test -run '^$' -fuzz FuzzSpecJSON -fuzztime 10s ./internal/workload
 	go test -run '^$' -fuzz FuzzPlaceRouteKey -fuzztime 10s ./internal/router
+	go test -run '^$' -fuzz FuzzEndpoints -fuzztime 10s ./internal/server
 }
 
 run_stage() {
