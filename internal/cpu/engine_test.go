@@ -3,11 +3,13 @@ package cpu
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/arch"
 	"repro/internal/counters"
+	"repro/internal/golden"
 	"repro/internal/isa"
 	"repro/internal/workload"
 )
@@ -19,6 +21,21 @@ type engineResult struct {
 	err  string
 	snap counters.Snapshot
 	now  int64
+}
+
+// enginePin is the golden form of an engineResult. The equivalence tests
+// compare the two engines within one commit; pinning the agreed result
+// under testdata/golden/ also holds it across commits, so a change to the
+// stage functions both engines share cannot move the simulation unseen.
+type enginePin struct {
+	Wall     int64             `json:"wall"`
+	Now      int64             `json:"now"`
+	Err      string            `json:"err"`
+	Snapshot counters.Snapshot `json:"snapshot"`
+}
+
+func (r engineResult) pin() enginePin {
+	return enginePin{Wall: r.wall, Now: r.now, Err: r.err, Snapshot: r.snap}
 }
 
 func runWithEngine(t *testing.T, eng Engine, d *arch.Desc, chips, smt int, srcs []isa.Source, maxCycles int64) engineResult {
@@ -94,6 +111,7 @@ func TestEngineEquivalenceWorkloads(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		name := tc.bench
+		pin := fmt.Sprintf("workloads_%s_chips%d_smt%d", tc.bench, tc.chips, tc.smt)
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			spec, err := workload.Get(tc.bench)
@@ -112,6 +130,7 @@ func TestEngineEquivalenceWorkloads(t *testing.T) {
 			scan := runWithEngine(t, EngineScan, d, tc.chips, tc.smt, mk(), tc.maxCycles)
 			event := runWithEngine(t, EngineEvent, d, tc.chips, tc.smt, mk(), tc.maxCycles)
 			comparePair(t, scan, event)
+			golden.Assert(t, pin, event.pin())
 		})
 	}
 }
@@ -138,6 +157,9 @@ func TestEngineEquivalenceStreams(t *testing.T) {
 		scanN := runWithEngine(t, EngineScan, arch.Nehalem(), 1, smt%2+1, mk(), 0)
 		eventN := runWithEngine(t, EngineEvent, arch.Nehalem(), 1, smt%2+1, mk(), 0)
 		comparePair(t, scanN, eventN)
+		golden.Assert(t, fmt.Sprintf("streams_smt%d", smt), map[string]enginePin{
+			"power7": event.pin(), "nehalem": eventN.pin(),
+		})
 	}
 }
 
@@ -179,6 +201,7 @@ func TestEngineEquivalenceIntervals(t *testing.T) {
 	}
 	comparePair(t, results[0], results[2])
 	comparePair(t, results[1], results[3])
+	golden.Assert(t, "intervals_Dedup", []enginePin{results[2].pin(), results[3].pin()})
 }
 
 // TestEngineCancelSmoke checks both engines honor context cancellation with

@@ -2,10 +2,12 @@ package cpu
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/arch"
+	"repro/internal/golden"
 	"repro/internal/isa"
 	"repro/internal/sched"
 	"repro/internal/workload"
@@ -210,6 +212,7 @@ func TestPartialMachineMatchesScanReferee(t *testing.T) {
 		scan := runWithEngine(t, EngineScan, d, 1, smt, mk(), maxCycles)
 		event := runWithEngine(t, EngineEvent, d, 1, smt, mk(), maxCycles)
 		comparePair(t, scan, event)
+		golden.Assert(t, fmt.Sprintf("partial_trial%02d", trial), event.pin())
 	}
 }
 
@@ -296,6 +299,11 @@ func TestRunBatchPairShapeMatchesScan(t *testing.T) {
 			t.Errorf("%s×%s: snapshots diverge:\nscan:  %+v\nevent: %+v",
 				p[0], p[1], scan[g].Snapshot, event[g].Snapshot)
 		}
+		pin := enginePin{Wall: event[g].Wall, Now: event[g].Snapshot.WallCycles, Snapshot: event[g].Snapshot}
+		if event[g].Err != nil {
+			pin.Err = event[g].Err.Error()
+		}
+		golden.Assert(t, fmt.Sprintf("pair_shape_%s_%s", p[0], p[1]), pin)
 	}
 }
 
