@@ -124,6 +124,7 @@ func (m *Machine) RunBatch(ctx context.Context, groups [][]isa.Source, chipsPer 
 		cores := m.cores[lo:hi]
 		k := 0
 		for _, core := range cores {
+			core.used = 0
 			for ci := 0; ci < core.active; ci++ {
 				cc := core.contexts[ci]
 				if k < len(srcs) {
@@ -131,6 +132,7 @@ func (m *Machine) RunBatch(ctx context.Context, groups [][]isa.Source, chipsPer 
 					m.threadCtx[idx] = cc
 					idx++
 					k++
+					core.used++
 				} else {
 					cc.reset(nil)
 				}
@@ -145,6 +147,7 @@ func (m *Machine) RunBatch(ctx context.Context, groups [][]isa.Source, chipsPer 
 		doms[g] = domain{cores: cores, live: m.liveBuf[lo:hi:hi], threads: m.threadCtx[gi:idx], now: m.now}
 	}
 	for _, core := range m.cores[len(groups)*chipsPer*cpc:] {
+		core.used = 0
 		for _, cc := range core.contexts {
 			cc.reset(nil)
 		}

@@ -141,13 +141,37 @@ func (c *Context) reset(src isa.Source) {
 	c.done = src == nil
 	c.finished = c.done
 	c.fetchedThisCycle = false
+	c.sawIdleThisCycle = false
+	// A run cut by its cycle limit or by cancellation leaves this
+	// context's dispatched instructions in the core's port queues, and
+	// the next run's issue scans still visit those refs, reading whatever
+	// entry then sits in their slot. Mark them stale so the scans recheck
+	// that entry on every visit instead of trusting a ring bound.
+	for p := range c.core.ports {
+		q := &c.core.ports[p]
+		for i := 0; i < q.n; i++ {
+			if r := &q.refs[(q.head+i)&q.mask]; int(r.ctx) == c.localID {
+				r.readyAt = staleRef
+				q.nextReady = staleRef
+			}
+		}
+	}
 }
 
-// portRef locates a dispatched instruction from a port queue.
+// portRef locates a dispatched instruction from a port queue. readyAt
+// copies the entry's readiness bound, so the issue scan passes over a
+// waiting instruction without loading its history-ring entry. It is at
+// most the entry's bound: stepIssue writes both together and push starts
+// both at 0. A stale ref, left by an earlier run (see Context.reset), holds
+// staleRef and is checked against its entry on every scan.
 type portRef struct {
-	seq int64
-	ctx uint8
+	seq     int64
+	readyAt int64
+	ctx     uint8
 }
+
+// staleRef is the ring bound of a ref an earlier run left in a queue.
+const staleRef = -1
 
 // portQueue is one issue port's queue, shared by the core's contexts. The
 // backing ring is sized to a power of two so position arithmetic is a mask;
@@ -158,6 +182,11 @@ type portQueue struct {
 	cap       int
 	head, n   int
 	busyUntil int64 // for unpipelined ops and extra-port consumption
+	// nextReady is at most every queued ring bound, so stepIssue skips the
+	// queue while it is in the future. A push or an issue resets it to 0;
+	// a scan that issues nothing sets it to the smallest bound it leaves,
+	// so a value past the current cycle is exactly that minimum.
+	nextReady int64
 }
 
 func (q *portQueue) init(capacity int) {
@@ -176,6 +205,7 @@ func (q *portQueue) empty() bool { return q.n == 0 }
 func (q *portQueue) push(r portRef) {
 	q.refs[(q.head+q.n)&q.mask] = r
 	q.n++
+	q.nextReady = 0
 }
 
 // at returns the i-th oldest reference.
@@ -200,6 +230,10 @@ type Core struct {
 
 	contexts []*Context // len = arch.MaxSMT; first smtLevel are active
 	active   int        // current SMT level
+	// used counts the leading active contexts the run placed a thread on.
+	// The rest were reset(nil), so they stay done, finished and empty,
+	// and every per-context loop stops at used.
+	used int
 
 	ports []portQueue
 	pred  *branch.Predictor
@@ -280,7 +314,8 @@ func (c *Core) setSMT(level int) {
 // resetState clears microarchitectural and counter state.
 func (c *Core) resetState() {
 	for p := range c.ports {
-		c.ports[p].head, c.ports[p].n, c.ports[p].busyUntil = 0, 0, 0
+		q := &c.ports[p]
+		q.head, q.n, q.busyUntil, q.nextReady = 0, 0, 0, 0
 	}
 	c.pred.Reset()
 	c.l1.Reset()
@@ -361,11 +396,28 @@ func (c *Core) accessMem(addr uint64, shared bool, now int64) int {
 // dramHomeShift interleaves shared memory across chips at 4 KiB granularity.
 const dramHomeShift = 12
 
+// rrStart returns the first context a round-robin sweep from pointer rr
+// visits. A sweep takes the active contexts in cyclic order from
+// rr % active; those at or past used hold no thread, so when the start
+// lands among them the first populated context in that order is 0.
+// Sweeps then wrap at used, visiting the populated contexts in the
+// order a sweep over every active context would.
+func (c *Core) rrStart(rr int) int {
+	if s := rr % c.active; s < c.used {
+		return s
+	}
+	return 0
+}
+
 // stepRetire completes in-order retirement for the cycle.
 func (c *Core) stepRetire(now int64) {
 	budget := c.arch.RetireWidth
-	for i := 0; i < c.active && budget > 0; i++ {
-		ctx := c.contexts[(c.retireRR+i)%c.active]
+	j := c.rrStart(c.retireRR)
+	for i := 0; i < c.used && budget > 0; i++ {
+		ctx := c.contexts[j]
+		if j++; j == c.used {
+			j = 0
+		}
 		for budget > 0 && ctx.head < ctx.tail {
 			e := &ctx.entries[ctx.head&histMask]
 			if e.state != entryIssued || e.completeAt > now {
@@ -386,20 +438,15 @@ func (c *Core) stepRetire(now int64) {
 // ready reports whether the entry's dependencies have completed at cycle
 // now; when they have not, it returns a lower bound on the cycle at which
 // they could be. For a producer that has not itself issued, the bound
-// chains through the producer's own readiness bound plus its minimum
-// latency — a sound transitive lower bound that spares the issue scan from
-// re-probing deep dependency chains every cycle.
+// chains through the producer (unissuedBound) — a sound transitive lower
+// bound that spares the issue scan from re-probing deep dependency chains
+// every cycle.
 func (ctx *Context) ready(e *entry, now int64) (bool, int64) {
-	lat := &ctx.core.arch.Latency
 	bound := now
 	if e.dep1 >= 0 {
 		d := &ctx.entries[e.dep1&histMask]
 		if d.state != entryIssued {
-			b := d.readyAt + int64(lat[d.class])
-			if b <= now {
-				b = now + 1
-			}
-			return false, b
+			return false, ctx.unissuedBound(d, now)
 		}
 		if d.completeAt > bound {
 			bound = d.completeAt
@@ -408,11 +455,7 @@ func (ctx *Context) ready(e *entry, now int64) (bool, int64) {
 	if e.dep2 >= 0 {
 		d := &ctx.entries[e.dep2&histMask]
 		if d.state != entryIssued {
-			b := d.readyAt + int64(lat[d.class])
-			if b <= now {
-				b = now + 1
-			}
-			return false, b
+			return false, ctx.unissuedBound(d, now)
 		}
 		if d.completeAt > bound {
 			bound = d.completeAt
@@ -421,29 +464,58 @@ func (ctx *Context) ready(e *entry, now int64) (bool, int64) {
 	return bound <= now, bound
 }
 
-// stepIssue issues at most one ready instruction per free port.
+// unissuedBound is the readiness bound a consumer takes from a producer d
+// that has not issued. A waiting d issues no earlier than now and no
+// earlier than its own bound, and Latency[d.class] is a lower bound on its
+// latency (at least 1, by arch.Validate). Its slot cannot be refilled
+// before it retires, so no later occupant completes sooner. An empty slot,
+// reachable only through a stale ref (see Context.reset), can be refilled
+// by a dispatch at any time and keeps the looser bound.
+func (ctx *Context) unissuedBound(d *entry, now int64) int64 {
+	lat := int64(ctx.core.arch.Latency[d.class])
+	if d.state == entryWaiting {
+		return max(d.readyAt, now) + lat
+	}
+	return max(d.readyAt+lat, now+1)
+}
+
+// stepIssue issues at most one ready instruction per free port, the oldest
+// ready one in queue order. A queue whose readiness bound is in the future
+// holds no entry that can be ready, and an entry whose ring bound is in the
+// future is passed over without loading it: the scan without these skips
+// would find both not ready and write nothing.
 func (c *Core) stepIssue(now int64) {
 	for p := range c.ports {
 		q := &c.ports[p]
-		if q.busyUntil > now || q.empty() {
+		if q.busyUntil > now || q.nextReady > now || q.empty() {
 			continue
 		}
+		next := int64(unknownCycle)
 		for i := 0; i < q.n; i++ {
-			r := q.at(i)
+			r := &q.refs[(q.head+i)&q.mask]
+			if r.readyAt > now {
+				next = min(next, r.readyAt)
+				continue
+			}
 			ctx := c.contexts[r.ctx]
 			e := &ctx.entries[r.seq&histMask]
-			if e.readyAt > now {
-				continue
-			}
-			ok, bound := ctx.ready(e, now)
-			if !ok {
+			if e.readyAt <= now {
+				ok, bound := ctx.ready(e, now)
+				if ok {
+					c.issue(ctx, e, p, now)
+					q.removeAt(i)
+					// The scan stopped before the later entries.
+					next = 0
+					break
+				}
 				e.readyAt = bound
-				continue
 			}
-			c.issue(ctx, e, p, now)
-			q.removeAt(i)
-			break
+			if r.readyAt != staleRef {
+				r.readyAt = e.readyAt
+			}
+			next = min(next, r.readyAt)
 		}
+		q.nextReady = next
 	}
 }
 
@@ -500,12 +572,16 @@ func (c *Core) issue(ctx *Context, e *entry, p int, now int64) {
 func (c *Core) stepDispatch(now int64) {
 	budget := c.arch.DispatchWidth
 	held := false
-	start := c.dispatchRR
+	start := c.rrStart(c.dispatchRR)
 	progress := true
 	for budget > 0 && progress {
 		progress = false
-		for i := 0; i < c.active && budget > 0; i++ {
-			ctx := c.contexts[(start+i)%c.active]
+		j := start
+		for i := 0; i < c.used && budget > 0; i++ {
+			ctx := c.contexts[j]
+			if j++; j == c.used {
+				j = 0
+			}
 			if ctx.fbLen == 0 {
 				continue
 			}
@@ -576,19 +652,22 @@ func (c *Core) pickPort(class isa.Class) int {
 // stepFetch pulls instructions from sources into fetch buffers, running the
 // branch predictor as branches enter the pipeline.
 func (c *Core) stepFetch(now int64) {
-	for _, ctx := range c.contexts {
+	for _, ctx := range c.contexts[:c.used] {
 		ctx.fetchedThisCycle = false
 		ctx.sawIdleThisCycle = false
 	}
 	budget := c.arch.FetchWidth
 	threads := c.arch.FetchThreads
-	start := c.fetchRR
+	j := c.rrStart(c.fetchRR)
 	c.fetchRR++
 	if c.fetchRR >= c.arch.MaxSMT {
 		c.fetchRR = 0
 	}
-	for i := 0; i < c.active && budget > 0 && threads > 0; i++ {
-		ctx := c.contexts[(start+i)%c.active]
+	for i := 0; i < c.used && budget > 0 && threads > 0; i++ {
+		ctx := c.contexts[j]
+		if j++; j == c.used {
+			j = 0
+		}
 		if ctx.done || ctx.fetchBlocked || now < ctx.fetchStallUntil || ctx.fbLen == fetchBufCap {
 			continue
 		}
@@ -628,7 +707,7 @@ func (c *Core) stepFetch(now int64) {
 // number of contexts that finished this cycle.
 func (c *Core) endCycle(now int64) int {
 	finished := 0
-	for i := 0; i < c.active; i++ {
+	for i := 0; i < c.used; i++ {
 		ctx := c.contexts[i]
 		if ctx.finished {
 			continue
@@ -657,7 +736,7 @@ func (c *Core) endCycle(now int64) int {
 // anyBusy reports whether any active context did work this cycle or has
 // in-flight instructions.
 func (c *Core) anyBusy() bool {
-	for i := 0; i < c.active; i++ {
+	for i := 0; i < c.used; i++ {
 		ctx := c.contexts[i]
 		if ctx.finished {
 			continue

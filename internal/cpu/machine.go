@@ -204,6 +204,7 @@ func (m *Machine) Reset() {
 		chip.dram.Reset()
 		for _, core := range chip.cores {
 			core.resetState()
+			core.used = 0
 			for _, ctx := range core.contexts {
 				ctx.reset(nil)
 				ctx.busyCycles = 0
@@ -309,12 +310,14 @@ func (m *Machine) RunContext(ctx context.Context, sources []isa.Source, maxCycle
 	m.activeCores = (len(sources) + m.smtLevel - 1) / m.smtLevel
 	idx := 0
 	for _, core := range m.cores {
+		core.used = 0
 		for ci := 0; ci < core.active; ci++ {
 			cc := core.contexts[ci]
 			if idx < len(sources) {
 				cc.reset(sources[idx])
 				m.threadCtx[idx] = cc
 				idx++
+				core.used++
 			} else {
 				cc.reset(nil)
 			}
