@@ -194,6 +194,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzSpecJSON -fuzztime 10s ./internal/workload
 	go test -run '^$' -fuzz FuzzPlaceRouteKey -fuzztime 10s ./internal/router
 	go test -run '^$' -fuzz FuzzEndpoints -fuzztime 10s ./internal/server
+	go test -run '^$' -fuzz FuzzIssueStreams -fuzztime 10s ./internal/cpu
 }
 
 run_stage() {
