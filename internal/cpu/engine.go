@@ -17,12 +17,13 @@ import (
 //
 //  1. A core whose next-event cycle is in the future executes only no-op
 //     steps until then: nothing retires, issues, dispatches or fetches, so
-//     skipping those steps changes no microarchitectural state. The entry
-//     readyAt bounds this relies on — with their copies in the queue rings
-//     and each queue's nextReady, at most every bound in its queue — are
-//     sound lower bounds because every class's Latency is at or below its
-//     true execution latency (Latency[Load] is the L1 hit latency,
-//     Latency[Store] is the 1-cycle store-queue drain).
+//     skipping those steps changes no microarchitectural state. The issue
+//     events this relies on are exact: a queued ref's ready cycle is the
+//     latest completeAt of its producers once they have all issued, and
+//     unknownCycle until the last of them issues and wakes it; each
+//     queue's nextReady is the smallest ready cycle in the queue. A
+//     completeAt never changes after issue, and a waited-on producer's
+//     slot is never refilled (see setSMT).
 //  2. A probed-idle context (its source returned FetchIdle) can be woken
 //     externally by another thread's progress — a lock grant or barrier
 //     release happens inside the *holder's* Fetch. While any context in
@@ -310,8 +311,8 @@ func (c *Core) step(now int64) int {
 			// returns: a context that is fetch-eligible, dispatch-ready or
 			// retiring next cycle makes that call's answer now+1, so skip
 			// it. These are exactly its fetch/dispatch/retire conditions;
-			// the issue-event case stays on the slow path (it needs the
-			// port-queue scan either way).
+			// the issue-event case stays on the slow path, which reads the
+			// port queues after the context loop.
 			switch {
 			case !ctx.done && !ctx.fetchBlocked && ctx.fbLen < fetchBufCap &&
 				ctx.fetchStallUntil <= now+1:
@@ -420,42 +421,16 @@ func (c *Core) computeNextEvent(now int64) int64 {
 			}
 		}
 	}
-	// Issue: the earliest cycle any queued instruction could issue, from
-	// the ring's readiness bounds and port busy windows. No entry can issue
-	// before the port's floor (its busy window), so the scan stops at the
-	// first entry already ready by then — the common case on a saturated
-	// port — instead of visiting the whole queue. A queue bound past now
-	// is the minimum ring bound already (see portQueue), so a waiting
-	// queue needs no scan at all.
+	// Issue: a queue's first issue is at its nextReady, the smallest ready
+	// cycle in it (unknownCycle, which is neverEvent, when it is empty or
+	// every ref waits on a producer), and no earlier than its busy window.
 	for p := range c.ports {
 		q := &c.ports[p]
-		if q.empty() {
-			continue
-		}
-		floor := now + 1
-		if q.busyUntil > floor {
-			floor = q.busyUntil
-		}
-		ev := max(q.nextReady, floor)
-		if q.nextReady <= now {
-			ev = int64(neverEvent)
-			for i := 0; i < q.n; i++ {
-				r := q.at(i)
-				if r.readyAt <= floor {
-					ev = floor
-					break
-				}
-				if r.readyAt < ev {
-					ev = r.readyAt
-				}
-			}
-		}
+		ev := max(q.nextReady, q.busyUntil)
 		if ev <= now+1 {
 			return now + 1
 		}
-		if ev < next {
-			next = ev
-		}
+		next = min(next, ev)
 	}
 	return next
 }
