@@ -4,7 +4,7 @@
 #
 # Usage:
 #   scripts/bench.sh                      # run grid, gate against newest artifact
-#   scripts/bench.sh refresh [artifact]   # run grid, write artifact (default BENCH_PR15.json)
+#   scripts/bench.sh refresh [artifact]   # run grid, write artifact (default BENCH_PR16.json)
 #   scripts/bench.sh quick <cellglob>     # run a named subset of the grid, no gate
 #   scripts/bench.sh ab <rev> <bench-regex> [pairs]   # A/B a benchmark against <rev>
 #
@@ -116,7 +116,7 @@ go test -run '^$' -bench 'BenchmarkEngine|BenchmarkSteadyState' \
 
 case "$mode" in
 refresh)
-	artifact=${2:-BENCH_PR15.json}
+	artifact=${2:-BENCH_PR16.json}
 	echo "==> rewriting $artifact"
 	go run ./scripts/benchgate emit "$out" >"$artifact"
 	echo "wrote $artifact"
