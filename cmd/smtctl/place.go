@@ -17,7 +17,6 @@ import (
 	"repro/internal/arch"
 	"repro/internal/cpu"
 	"repro/internal/placement"
-	"repro/internal/workload"
 )
 
 // runPlace implements `smtctl place`: read a JSON workload-mix file (an
@@ -79,9 +78,9 @@ func runPlace(args []string, stdout, stderr io.Writer) int {
 }
 
 // solvePlace answers the request remotely when url is set, else through a
-// private local engine (its own machine pool and program cache — the
-// offline analogue of the server path, producing byte-identical
-// placements for the same request).
+// private local engine (its own machine pool — the offline analogue of
+// the server path, producing byte-identical placements for the same
+// request).
 func solvePlace(ctx context.Context, url string, req api.PlaceRequest) (api.PlaceResponse, error) {
 	if url != "" {
 		c, err := client.New(client.Config{BaseURL: url})
@@ -110,7 +109,7 @@ func solvePlace(ctx context.Context, url string, req api.PlaceRequest) (api.Plac
 	if err != nil {
 		return api.PlaceResponse{}, err
 	}
-	eng := &placement.Engine{Pool: cpu.NewPool(1), Cache: workload.NewCache(0)}
+	eng := &placement.Engine{Pool: cpu.NewPool(1)}
 	return eng.Place(ctx, in)
 }
 

@@ -43,7 +43,6 @@ func main() {
 		brkThresh    = flag.Int("breaker-threshold", 5, "consecutive probe failures that open the probe circuit breaker (negative disables)")
 		brkCooldown  = flag.Duration("breaker-cooldown", 10*time.Second, "open-breaker wait before a half-open trial probe")
 		coalesce     = flag.Duration("coalesce-window", 0, "batch-admission window: identical analyze requests arriving within it share one probe (0 = coalesce in-flight only, negative disables coalescing)")
-		batch        = flag.Int("batch", 0, "max distinct analyze probes of one machine shape drained into a single batched simulation pass per coalesce window (0/1 = off; requires -coalesce-window > 0)")
 		faultsPath   = flag.String("faults", "", "fault-injection schedule JSON for chaos testing (see internal/fault)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		quiet        = flag.Bool("quiet", false, "suppress the JSON access log")
@@ -70,7 +69,6 @@ func main() {
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
 		CoalesceWindow:   *coalesce,
-		MaxBatch:         *batch,
 	}
 	if *faultsPath != "" {
 		sched, err := fault.LoadSchedule(*faultsPath)

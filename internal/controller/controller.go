@@ -205,23 +205,19 @@ type ProbeResult struct {
 	Metric smtsm.Breakdown
 }
 
-// Prober bundles the two amortization layers a hot probe path wants: a
-// machine pool (reuses simulated machines across probes) and a workload
-// program cache (reuses compiled instruction-stream tables across probes of
-// the same spec). Both fields are optional — a zero Prober builds machines
-// and compiles workloads per call — so callers opt into exactly the reuse
-// they need. The results are bit-identical either way.
+// Prober runs max-SMT probes, reusing simulated machines from Pool when it
+// is set; a zero Prober builds a machine per call. The results are
+// bit-identical either way.
 type Prober struct {
-	Pool  *cpu.Pool
-	Cache *workload.Cache
+	Pool *cpu.Pool
 }
 
 // Probe measures spec at the architecture's maximum SMT level — the only
 // level at which the paper shows the metric is trustworthy — under ctx, and
 // returns the counter snapshot and metric breakdown. The machine comes from
-// p.Pool and the compiled workload from p.Cache when present. The context
-// is polled cooperatively by the simulator, so a caller can bound the probe
-// with a deadline or cancel it when a client disconnects.
+// p.Pool when present. The context is polled cooperatively by the
+// simulator, so a caller can bound the probe with a deadline or cancel it
+// when a client disconnects.
 //
 // Cancellation mirrors cpu.Machine.RunContext: alongside the context's
 // error, Probe returns the PARTIAL result measured up to the interruption
@@ -256,7 +252,7 @@ func (p *Prober) Probe(ctx context.Context, d *arch.Desc, chips int, spec *workl
 	if err := ctx.Err(); err != nil {
 		return ProbeResult{}, err
 	}
-	inst, err := p.Cache.Instantiate(spec, m.HardwareThreads(), seed)
+	inst, err := workload.Instantiate(spec, m.HardwareThreads(), seed)
 	if err != nil {
 		return ProbeResult{}, err
 	}

@@ -3,6 +3,7 @@ package controller
 import (
 	"context"
 	"errors"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -72,13 +73,24 @@ func TestProbeComputesMetricAtMaxLevel(t *testing.T) {
 	if !res.Metric.Finite() {
 		t.Fatalf("non-finite probe metric %+v", res.Metric)
 	}
-	// Determinism: the same seed reproduces the same observation.
-	res2, err := (&Prober{}).Probe(context.Background(), d, 1, tinySpec(), 42)
-	if err != nil {
+	// Determinism: the same seed reproduces the same observation, on a
+	// fresh machine and on a pooled one that already probed another spec.
+	pooled := &Prober{Pool: cpu.NewPool(1)}
+	other := tinySpec()
+	other.Name = "probe-tiny-mem"
+	other.WorkingSetKB = 512
+	if _, err := pooled.Probe(context.Background(), d, 1, other, 7); err != nil {
 		t.Fatal(err)
 	}
-	if res.Snapshot.Fingerprint() != res2.Snapshot.Fingerprint() {
-		t.Fatal("probe not deterministic for a fixed seed")
+	for _, p := range []*Prober{{}, pooled} {
+		res2, err := p.Probe(context.Background(), d, 1, tinySpec(), 42)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(res, res2) {
+			t.Fatalf("probe not deterministic for a fixed seed (pooled %v):\nfirst:  %+v\nsecond: %+v",
+				p.Pool != nil, res, res2)
+		}
 	}
 }
 

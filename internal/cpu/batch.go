@@ -34,7 +34,7 @@ import (
 //   - Sources must be group-local: a sched.Runtime (locks, barriers) or any
 //     other mutable state shared by sources ACROSS groups would be raced.
 //     workload.Instantiate builds one runtime per instantiation, so one
-//     instantiation per group — as controller.Prober.ProbeBatch does —
+//     instantiation per group — as placement's pair scoring does —
 //     satisfies this by construction.
 
 // BatchResult is the outcome of one variant group of a RunBatch: the group's

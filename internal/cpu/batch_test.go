@@ -22,14 +22,11 @@ type batchVariant struct {
 // use the same cap, so capped runs stay bit-comparable.
 const batchCap = 150_000
 
-// batchProgs is a shared instantiation cache for the batch side of the
-// identity tests: batch groups are stamped from cached immutable Programs
-// while the solo side compiles fresh, so the batch-vs-solo comparison also
-// pins cache-stamped instances bit-identical to fresh instantiations.
-var batchProgs = workload.NewCache(0)
-
 // runVariantsBatch runs the variants through one RunBatch on a fresh
-// machine with chipsPer chips per variant.
+// machine with chipsPer chips per variant. Batch groups are stamped from
+// compiled Programs while the solo side instantiates in one shot, so the
+// batch-vs-solo comparison also pins stamped instances bit-identical to
+// one-shot instantiations.
 func runVariantsBatch(t *testing.T, engine Engine, variants []batchVariant, chipsPer int) []BatchResult {
 	t.Helper()
 	m := newP7(t, len(variants)*chipsPer)
@@ -43,11 +40,11 @@ func runVariantsBatch(t *testing.T, engine Engine, variants []batchVariant, chip
 		if err != nil {
 			t.Fatal(err)
 		}
-		inst, err := batchProgs.Instantiate(spec, hwPer, v.seed)
+		prog, err := workload.Compile(spec, hwPer, v.seed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		srcGroups = append(srcGroups, inst.Sources())
+		srcGroups = append(srcGroups, prog.Instantiate().Sources())
 	}
 	res, err := m.RunBatch(context.Background(), srcGroups, chipsPer, batchCap)
 	if err != nil {

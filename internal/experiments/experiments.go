@@ -93,11 +93,6 @@ type Matrix struct {
 	// scrubbed to freshly-constructed state by Get, so cell results stay
 	// bit-identical to the fresh-machine-per-cell behavior.
 	pool *cpu.Pool
-	// progs caches compiled workload programs across cells: a benchmark's
-	// per-level cells differ only in thread count, but re-sweeps, figure
-	// renders and the ablation grid revisit identical (spec, threads, seed)
-	// triples and stamp instances from one shared immutable Program.
-	progs *workload.Cache
 }
 
 // cellEntry is the singleflight slot for one (bench, smt) cell: the first
@@ -116,7 +111,6 @@ func NewMatrix(sys System, seed uint64) *Matrix {
 		cells:    map[string]*cellEntry{},
 		archDesc: sys.Arch(),
 		pool:     cpu.NewPool(0),
-		progs:    workload.NewCache(0),
 	}
 }
 
@@ -220,7 +214,7 @@ func (m *Matrix) run(ctx context.Context, bench string, smt int) *Cell {
 		c.Err = err
 		return c
 	}
-	inst, err := m.progs.Instantiate(spec, mach.HardwareThreads(), m.Seed)
+	inst, err := workload.Instantiate(spec, mach.HardwareThreads(), m.Seed)
 	if err != nil {
 		c.Err = err
 		return c

@@ -30,11 +30,10 @@ var Conclint = &Analyzer{
 }
 
 // lockScope lists the packages whose locks guard the serving path; the
-// copy and unlock disciplines are enforced there. internal/workload joined
-// when the instantiation cache put a mutex on the probe hot path,
-// internal/placement when /v1/place put pair co-simulation on it, and
-// internal/httpx when the daemons' shared middleware took the access-log
-// mutex.
+// copy and unlock disciplines are enforced there. internal/workload builds
+// every probe's instruction streams, internal/placement joined when
+// /v1/place put pair co-simulation on the serving path, and internal/httpx
+// when the daemons' shared middleware took the access-log mutex.
 var lockScope = map[string]bool{
 	"internal/server": true, "internal/router": true, "internal/cpu": true,
 	"internal/workload": true, "internal/placement": true, "internal/httpx": true,
@@ -270,7 +269,7 @@ func (p *Pass) checkRangeCopiesLock(rng *ast.RangeStmt) {
 
 // lockCall describes one Lock/RLock or Unlock/RUnlock call site.
 type lockCall struct {
-	key  string // canonical receiver expression, e.g. "s.batch.mu"
+	key  string // canonical receiver expression, e.g. "g.mu"
 	name string // Lock, RLock, Unlock, RUnlock
 	pos  token.Pos
 }

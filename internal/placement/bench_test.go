@@ -7,16 +7,15 @@ import (
 	"repro/api"
 	"repro/internal/arch"
 	"repro/internal/cpu"
-	"repro/internal/workload"
 )
 
 // BenchmarkPlace measures one uncached /v1/place computation as a shard
 // runs it: the README's mix (two library benchmarks by name, two threads
 // each, anti-affinity keeping the first one's threads apart) on a pooled
-// Engine. Every iteration draws a new seed, so no pair program is reused
-// from the cache and each op co-simulates both candidate pairs afresh.
+// Engine. Every iteration draws a new seed, so each op co-simulates both
+// candidate pairs afresh.
 func BenchmarkPlace(b *testing.B) {
-	eng := &Engine{Pool: cpu.NewPool(1), Cache: workload.NewCache(0)}
+	eng := &Engine{Pool: cpu.NewPool(1)}
 	ctx := context.Background()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

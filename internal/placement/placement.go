@@ -38,7 +38,7 @@ import (
 	"repro/internal/xrand"
 )
 
-// Tunable defaults of the scoring pass.
+// Bounds of the scoring pass.
 const (
 	// DefaultScoreCycles caps each pair co-run. Pair scoring needs a
 	// representative contention interval, not a completed run, so the cap
@@ -241,29 +241,10 @@ func (in *Input) Fingerprint() (string, error) {
 }
 
 // Engine scores workload pairs by co-simulation and solves the
-// assignment. The zero value works; wiring Pool and Cache shares pooled
-// machines and compiled programs with the rest of the server.
+// assignment. The zero value works; wiring Pool shares pooled machines
+// with the rest of the server.
 type Engine struct {
-	Pool  *cpu.Pool
-	Cache *workload.Cache
-	// ScoreCycles caps each pair co-run (0 = DefaultScoreCycles).
-	ScoreCycles int64
-	// MaxChunk bounds the pair co-runs per batched pass (0 = DefaultMaxChunk).
-	MaxChunk int
-}
-
-func (e *Engine) scoreCycles() int64 {
-	if e.ScoreCycles > 0 {
-		return e.ScoreCycles
-	}
-	return DefaultScoreCycles
-}
-
-func (e *Engine) maxChunk() int {
-	if e.MaxChunk > 0 {
-		return e.MaxChunk
-	}
-	return DefaultMaxChunk
+	Pool *cpu.Pool
 }
 
 // pair identifies one co-locatable workload pair by index, i <= j.
@@ -319,24 +300,23 @@ func pairSeed(seed uint64, a, b string, side uint64) uint64 {
 }
 
 // pairSources instantiates the two threads of one pair co-run. Each pair
-// gets its own instantiation — sched runtime state must never be shared
-// across RunBatch groups — while the compiled Program behind it is shared
-// through the cache.
+// gets its own instantiation: sched runtime state must never be shared
+// across RunBatch groups.
 func (e *Engine) pairSources(in *Input, p pair) ([]isa.Source, error) {
 	a := in.Workloads[p.i]
 	if p.i == p.j {
-		inst, err := e.Cache.Instantiate(a.Spec, 2, pairSeed(in.Seed, a.Name, a.Name, 0))
+		inst, err := workload.Instantiate(a.Spec, 2, pairSeed(in.Seed, a.Name, a.Name, 0))
 		if err != nil {
 			return nil, fmt.Errorf("pair %s×%s: %w", a.Name, a.Name, err)
 		}
 		return inst.Sources(), nil
 	}
 	b := in.Workloads[p.j]
-	ia, err := e.Cache.Instantiate(a.Spec, 1, pairSeed(in.Seed, a.Name, b.Name, 0))
+	ia, err := workload.Instantiate(a.Spec, 1, pairSeed(in.Seed, a.Name, b.Name, 0))
 	if err != nil {
 		return nil, fmt.Errorf("pair %s×%s: %w", a.Name, b.Name, err)
 	}
-	ib, err := e.Cache.Instantiate(b.Spec, 1, pairSeed(in.Seed, a.Name, b.Name, 1))
+	ib, err := workload.Instantiate(b.Spec, 1, pairSeed(in.Seed, a.Name, b.Name, 1))
 	if err != nil {
 		return nil, fmt.Errorf("pair %s×%s: %w", a.Name, b.Name, err)
 	}
@@ -355,12 +335,11 @@ func (e *Engine) pairSources(in *Input, p pair) ([]isa.Source, error) {
 func (e *Engine) scorePairs(ctx context.Context, in *Input, pairs []pair) ([]api.PairScore, map[pair]float64, error) {
 	matrix := make(map[pair]float64, len(pairs))
 	var list []api.PairScore
-	chunk := e.maxChunk()
-	for start := 0; start < len(pairs); start += chunk {
+	for start := 0; start < len(pairs); start += DefaultMaxChunk {
 		if err := ctx.Err(); err != nil {
 			return list, matrix, err
 		}
-		end := start + chunk
+		end := start + DefaultMaxChunk
 		if end > len(pairs) {
 			end = len(pairs)
 		}
@@ -383,7 +362,7 @@ func (e *Engine) scorePairs(ctx context.Context, in *Input, pairs []pair) ([]api
 		if err != nil {
 			return list, matrix, err
 		}
-		res, err := m.RunBatch(ctx, groups, 1, e.scoreCycles())
+		res, err := m.RunBatch(ctx, groups, 1, DefaultScoreCycles)
 		if e.Pool != nil {
 			e.Pool.Put(m)
 		}

@@ -61,7 +61,7 @@ func resolveT(t *testing.T, req api.PlaceRequest) *Input {
 
 func placeT(t *testing.T, in *Input) api.PlaceResponse {
 	t.Helper()
-	eng := &Engine{Pool: cpu.NewPool(1), Cache: workload.NewCache(0)}
+	eng := &Engine{Pool: cpu.NewPool(1)}
 	resp, err := eng.Place(context.Background(), in)
 	if err != nil {
 		t.Fatalf("Place: %v", err)
@@ -100,8 +100,8 @@ func TestPlacePermutationInvariance(t *testing.T) {
 	}
 }
 
-// TestPlaceDeterministicAcrossRuns: fresh engines (fresh pools, fresh
-// caches) must reproduce the response byte for byte.
+// TestPlaceDeterministicAcrossRuns: fresh engines (fresh pools) must
+// reproduce the response byte for byte.
 func TestPlaceDeterministicAcrossRuns(t *testing.T) {
 	b1, _ := json.Marshal(placeT(t, resolveT(t, testRequest())))
 	b2, _ := json.Marshal(placeT(t, resolveT(t, testRequest())))

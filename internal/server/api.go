@@ -184,16 +184,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// runProbe is the analyze computation's probe step: the batch-admission
-// window, or the batched pass, then the probe itself. The caller holds a
-// worker slot and has passed the breaker gate.
+// runProbe is the analyze computation's probe step: the coalesce window,
+// then the probe itself. The caller holds a worker slot and has passed the
+// breaker gate.
 func (s *Server) runProbe(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
-	if s.batch != nil {
-		// Batching on: the admission window is spent inside the batch
-		// group, draining concurrent distinct probes of this machine shape
-		// into one batched pass (batch.go).
-		return s.batchProbe(ctx, d, chips, spec, seed)
-	}
 	if win := s.cfg.CoalesceWindow; win > 0 {
 		// Batch admission: hold the probe back so the rest of a burst can
 		// still join this flight instead of racing it to completion. An

@@ -36,12 +36,6 @@ type metrics struct {
 	probes    atomic.Uint64
 	coalesced atomic.Uint64
 
-	// Batching counters: batches counts batched simulation passes, batched
-	// the probes that rode along in another leader's pass (the batch
-	// analogue of coalesced).
-	batches atomic.Uint64
-	batched atomic.Uint64
-
 	// Placement counters: placements counts co-simulation passes actually
 	// launched for /v1/place (flight leaders that reached the engine),
 	// placeCoalesced the placement requests that attached to another
@@ -106,9 +100,6 @@ func (s *Server) vars() map[string]any {
 		"coalesced_total":         s.met.coalesced.Load(),
 		"flights_in_flight":       s.flights.inFlight(),
 		"coalesce_window_seconds": s.cfg.CoalesceWindow.Seconds(),
-		"batches_total":           s.met.batches.Load(),
-		"batched_probes_total":    s.met.batched.Load(),
-		"max_batch":               s.cfg.MaxBatch,
 
 		"placements_total":        s.met.placements.Load(),
 		"place_coalesced_total":   s.met.placeCoalesced.Load(),
@@ -134,8 +125,7 @@ func (s *Server) vars() map[string]any {
 		"queue_depth":         s.cfg.QueueDepth,
 		"queued":              s.lim.queued(),
 
-		"machine_pool":   s.pool.Stats(),
-		"workload_cache": s.progs.Stats(),
+		"machine_pool": s.pool.Stats(),
 
 		"latency_seconds": s.met.latency.Snapshot(),
 		"latency_summary": s.met.latency.Summary(),

@@ -75,21 +75,13 @@ type Config struct {
 	// BreakerCooldown is how long an open breaker waits before admitting a
 	// half-open trial probe (0 = 10s).
 	BreakerCooldown time.Duration
-	// CoalesceWindow is the batch-admission window for analyze probes: the
-	// leader of a probe flight holds the simulation back this long so a
-	// burst of identical requests spread over the window still coalesces
-	// onto one probe. 0 keeps coalescing for requests that are already in
-	// flight without delaying the leader; negative disables coalescing
-	// entirely (every request probes for itself).
+	// CoalesceWindow is how long the leader of an analyze probe flight holds
+	// the simulation back, so a burst of identical requests spread over the
+	// window still coalesces onto one probe. 0 keeps coalescing for
+	// requests that are already in flight without delaying the leader;
+	// negative disables coalescing entirely (every request probes for
+	// itself).
 	CoalesceWindow time.Duration
-	// MaxBatch, when >= 2, upgrades the admission window from deduplication
-	// to aggregation: up to MaxBatch DISTINCT analyze probes of the same
-	// machine shape (arch, chips) that open within one window drain into a
-	// single batched simulation pass (controller.Prober.ProbeBatch), each
-	// variant on its own disjoint chip group. Responses stay byte-identical
-	// to solo probes. Requires a positive CoalesceWindow; 0 or 1 disables
-	// batching.
-	MaxBatch int
 	// Faults optionally injects scheduled faults into the probe and cache
 	// paths for chaos testing (nil = no injection; see internal/fault).
 	Faults *fault.Injector
@@ -158,12 +150,6 @@ func (c Config) validate() error {
 	if c.BreakerCooldown < 0 {
 		return fmt.Errorf("server: negative breaker cooldown %v", c.BreakerCooldown)
 	}
-	if c.MaxBatch < 0 {
-		return fmt.Errorf("server: negative max batch %d", c.MaxBatch)
-	}
-	if c.MaxBatch > 1 && c.CoalesceWindow <= 0 {
-		return fmt.Errorf("server: max batch %d needs a positive coalesce window (got %v)", c.MaxBatch, c.CoalesceWindow)
-	}
 	return nil
 }
 
@@ -188,10 +174,7 @@ type Server struct {
 	placeFlights *flightGroup[api.PlaceResponse]
 	probe        probeFunc
 	place        placeFunc
-	batch        *batcher // nil unless MaxBatch >= 2
-	probeBatch   probeBatchFunc
 	pool         *cpu.Pool
-	progs        *workload.Cache
 	draining     atomic.Bool
 
 	// The POST endpoints' request pipelines (endpoint.go).
@@ -221,12 +204,8 @@ func New(cfg Config) (*Server, error) {
 		// At most Workers probes run at once, so Workers machines per
 		// (arch, chips) key covers the steady state.
 		pool: cpu.NewPool(cfg.Workers),
-		// Compiled-workload cache shared by solo probes, batch passes and
-		// every coalesced flight: repeat specs skip validation and table
-		// derivation and stamp instances from one immutable Program.
-		progs: workload.NewCache(0),
 	}
-	prober := &controller.Prober{Pool: s.pool, Cache: s.progs}
+	prober := &controller.Prober{Pool: s.pool}
 	s.probe = func(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
 		// Scheduled faults fire before the real probe: an injected delay
 		// eats into the request budget, an injected error or hang takes
@@ -236,18 +215,10 @@ func New(cfg Config) (*Server, error) {
 		}
 		return prober.Probe(ctx, d, chips, spec, seed)
 	}
-	if cfg.MaxBatch >= 2 {
-		s.batch = newBatcher(cfg.MaxBatch)
-	}
-	// Fault injection for the batched path happens per flight leader inside
-	// batchProbe, before the join, so the pass itself runs clean.
-	s.probeBatch = func(ctx context.Context, d *arch.Desc, chips int, items []controller.BatchItem) ([]controller.BatchResult, error) {
-		return prober.ProbeBatch(ctx, d, chips, items)
-	}
-	// The placement engine shares the probe path's pooled machines and
-	// compiled-program cache; faults injected on the probe op hit it too,
-	// so the chaos schedule exercises both endpoints.
-	engine := &placement.Engine{Pool: s.pool, Cache: s.progs}
+	// The placement engine shares the probe path's pooled machines; faults
+	// injected on the probe op hit it too, so the chaos schedule exercises
+	// both endpoints.
+	engine := &placement.Engine{Pool: s.pool}
 	s.place = func(ctx context.Context, in *placement.Input) (api.PlaceResponse, error) {
 		if err := cfg.Faults.Inject(ctx, fault.OpProbe); err != nil {
 			return api.PlaceResponse{}, err

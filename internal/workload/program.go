@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/sched"
@@ -14,8 +13,7 @@ import (
 // and the per-thread RNG seeds. A Program is IMMUTABLE once Compile
 // returns; Instantiate stamps fresh mutable run state (scheduler runtime,
 // RNG cursors) against the shared tables, so any number of concurrent
-// simulations — batch variants, matrix cells, coalesced server flights —
-// can share one Program without copying or locking it.
+// simulations can share one Program without copying or locking it.
 //
 // Program.Instantiate is bit-identical to the package-level Instantiate for
 // the same triple: the instruction streams, lock/barrier structure and
@@ -82,17 +80,4 @@ func (p *Program) Instantiate() *Instance {
 		inst.Threads = append(inst.Threads, rt.NewThread(script))
 	}
 	return inst
-}
-
-// Fingerprint returns a 64-bit hash of the spec's canonical JSON form, for
-// logging and cache observability. It is NOT a collision-proof identity —
-// the instantiation cache keys on the canonical form itself.
-func (s *Spec) Fingerprint() uint64 {
-	b, err := json.Marshal(s)
-	if err != nil {
-		// MarshalJSON for Spec cannot fail on a validated spec; fall back
-		// to the name so the fingerprint stays usable for logging.
-		return xrand.HashString(s.Name)
-	}
-	return xrand.HashBytes(b)
 }

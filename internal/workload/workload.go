@@ -196,8 +196,8 @@ type Instance struct {
 // Instantiate builds the workload for numThreads threads with the given
 // seed. The same (spec, numThreads, seed) always produces identical
 // instruction streams. It is Compile + Program.Instantiate in one step;
-// hot callers that repeat a triple should hold a Cache (or a Program)
-// instead and amortize the compile.
+// callers that repeat a triple can hold the Program instead and amortize
+// the compile.
 func Instantiate(spec *Spec, numThreads int, seed uint64) (*Instance, error) {
 	p, err := Compile(spec, numThreads, seed)
 	if err != nil {

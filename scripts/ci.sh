@@ -184,8 +184,8 @@ stage_race() {
 	# bit-identical to solo runs at any GOMAXPROCS, with the race detector
 	# watching the per-group domain isolation.
 	step "chip-parallel determinism under race"
-	go test -race -count=1 -run 'TestRunBatchDeterminism|TestRunBatchMatchesSolo|TestRunBatchPairShapeMatchesScan|TestBatchedAnalyzeMatchesSolo' \
-		./internal/cpu ./internal/server
+	go test -race -count=1 -run 'TestRunBatchDeterminism|TestRunBatchMatchesSolo|TestRunBatchPairShapeMatchesScan|TestPlaceDeterministicAcrossRuns' \
+		./internal/cpu ./internal/placement
 }
 
 stage_fuzz() {
