@@ -145,12 +145,10 @@ func (c *Core) prefetchAhead(line uint64, shared bool, now int64) {
 }
 
 // homeChannel resolves which chip's DRAM serves addr and any cross-chip
-// penalty (see accessMem). Shared addresses interleave over the chip's
-// partition — the whole machine in a normal run, the variant's chip subset
-// during RunBatch — so a batched variant on k chips homes memory exactly as
-// a solo k-chip machine would.
+// penalty (see accessMem). Shared addresses interleave over every chip of
+// the machine.
 func (c *Core) homeChannel(addr uint64, shared bool) (*mem.DRAM, int) {
-	chips := c.chip.part
+	chips := c.chip.machine.chips
 	if shared && len(chips) > 1 {
 		h := int((addr >> dramHomeShift) % uint64(len(chips)))
 		if ch := chips[h]; ch != c.chip {

@@ -3,7 +3,6 @@ package cpu
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
 	"repro/internal/arch"
@@ -259,51 +258,29 @@ func TestStaggeredFinishMatchesScanReferee(t *testing.T) {
 	}
 }
 
-// TestRunBatchPairShapeMatchesScan runs placement's pair-scoring shape —
-// RunBatch with one one-chip group per pair, both threads on core 0 at
-// SMT4, a 200k-cycle cap — under both engines and pins every group's wall
-// cycles, counter snapshot and error to the scan referee. Seven of each
-// chip's eight cores hold no thread, and the groups' live lists share one
-// machine buffer, which the race stage of CI watches.
-func TestRunBatchPairShapeMatchesScan(t *testing.T) {
+// TestPairShapeMatchesScan runs placement's pair-scoring shape — each pair
+// on a fresh one-chip machine, both threads on core 0 at SMT4, a
+// 200k-cycle cap — under both engines and pins each pair's wall and clock
+// cycles, counter snapshot and error to the scan referee. Seven of the
+// chip's eight cores hold no thread.
+func TestPairShapeMatchesScan(t *testing.T) {
 	pairs := [][2]string{{"CG", "EP"}, {"Dedup", "Dedup"}, {"Canneal", "MG"}, {"EP", "EP"}}
-	run := func(eng Engine) []BatchResult {
-		m := newP7(t, len(pairs))
-		if err := m.SetEngine(eng); err != nil {
-			t.Fatal(err)
-		}
-		// As placement.Engine builds them: a self pair is one two-thread
-		// instantiation, a mixed pair one thread of each workload.
-		groups := make([][]isa.Source, len(pairs))
-		for g, p := range pairs {
-			a, b := librarySpec(t, p[0]), librarySpec(t, p[1])
-			if p[0] == p[1] {
-				groups[g] = instSources(t, a, 2, uint64(g))
-			} else {
-				groups[g] = append(instSources(t, a, 1, uint64(2*g)), instSources(t, b, 1, uint64(2*g+1))...)
-			}
-		}
-		res, err := m.RunBatch(context.Background(), groups, 1, 200_000)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	scan, event := run(EngineScan), run(EngineEvent)
 	for g, p := range pairs {
-		if scan[g].Wall != event[g].Wall || !reflect.DeepEqual(scan[g].Err, event[g].Err) {
-			t.Errorf("%s×%s: scan wall %d err %v, event wall %d err %v",
-				p[0], p[1], scan[g].Wall, scan[g].Err, event[g].Wall, event[g].Err)
-		}
-		if !reflect.DeepEqual(scan[g].Snapshot, event[g].Snapshot) {
-			t.Errorf("%s×%s: snapshots diverge:\nscan:  %+v\nevent: %+v",
-				p[0], p[1], scan[g].Snapshot, event[g].Snapshot)
-		}
-		pin := enginePin{Wall: event[g].Wall, Now: event[g].Snapshot.WallCycles, Snapshot: event[g].Snapshot}
-		if event[g].Err != nil {
-			pin.Err = event[g].Err.Error()
-		}
-		golden.Assert(t, fmt.Sprintf("pair_shape_%s_%s", p[0], p[1]), pin)
+		t.Run(p[0]+"_"+p[1], func(t *testing.T) {
+			// As placement.Engine builds them: a self pair is one two-thread
+			// instantiation, a mixed pair one thread of each workload.
+			mk := func() []isa.Source {
+				a, b := librarySpec(t, p[0]), librarySpec(t, p[1])
+				if p[0] == p[1] {
+					return instSources(t, a, 2, uint64(g))
+				}
+				return append(instSources(t, a, 1, uint64(2*g)), instSources(t, b, 1, uint64(2*g+1))...)
+			}
+			scan := runWithEngine(t, EngineScan, arch.POWER7(), 1, 4, mk(), 200_000)
+			event := runWithEngine(t, EngineEvent, arch.POWER7(), 1, 4, mk(), 200_000)
+			comparePair(t, scan, event)
+			golden.Assert(t, fmt.Sprintf("pair_shape_%s_%s", p[0], p[1]), event.pin())
+		})
 	}
 }
 

@@ -14,11 +14,11 @@
 // paper validated per application.
 //
 // Determinism contract: Place is a pure function of the resolved Input.
-// Pair co-runs are seeded from Input.Seed and the workload names, the
-// batched simulation reduces in index order (cpu.RunBatch), and the
-// solver visits threads in a seeded order derived only from canonical
-// data — so the same request yields a byte-identical response at any
-// GOMAXPROCS, on any shard, fresh or replayed.
+// Pair co-runs are seeded from Input.Seed and the workload names and run
+// one at a time in candidate order, each on a freshly scrubbed machine,
+// and the solver visits threads in a seeded order derived only from
+// canonical data — so the same request yields a byte-identical response
+// at any GOMAXPROCS, on any shard, fresh or replayed.
 package placement
 
 import (
@@ -44,11 +44,6 @@ const (
 	// representative contention interval, not a completed run, so the cap
 	// is deliberately far below a probe's budget.
 	DefaultScoreCycles = 200_000
-	// DefaultMaxChunk bounds how many pair co-runs one batched simulation
-	// pass evaluates (= chips of the borrowed machine). Chunks keep pooled
-	// machines modest while RunBatch still simulates a chunk's pairs
-	// chip-parallel.
-	DefaultMaxChunk = 8
 	// MaxWorkloads bounds a request's mix; pair scoring is quadratic.
 	MaxWorkloads = 32
 )
@@ -294,14 +289,14 @@ func (e *Engine) candidatePairs(in *Input) []pair {
 
 // pairSeed derives the co-run seed of one pair side from the request seed
 // and the workload names, so a pair's score is independent of where the
-// pair falls in the chunk order.
+// pair falls in the candidate order.
 func pairSeed(seed uint64, a, b string, side uint64) uint64 {
 	return xrand.Mix64(seed ^ xrand.Mix64(xrand.HashString(a)^xrand.Mix64(xrand.HashString(b)+side)))
 }
 
 // pairSources instantiates the two threads of one pair co-run. Each pair
-// gets its own instantiation: sched runtime state must never be shared
-// across RunBatch groups.
+// gets its own instantiation, so no sched runtime state (locks, barriers)
+// carries from one co-run into the next.
 func (e *Engine) pairSources(in *Input, p pair) ([]isa.Source, error) {
 	a := in.Workloads[p.i]
 	if p.i == p.j {
@@ -323,67 +318,47 @@ func (e *Engine) pairSources(in *Input, p pair) ([]isa.Source, error) {
 	return []isa.Source{ia.Sources()[0], ib.Sources()[0]}, nil
 }
 
-// scorePairs co-simulates the candidate pairs in chunked batched passes:
-// each pair becomes one single-chip RunBatch group with both threads on
-// active contexts of core 0 (RunBatch fills groups core-major), i.e. the
-// two programs genuinely share one SMT core's pipeline and caches. The
-// score is the SMT-selection metric of the pair's counter snapshot.
+// scorePairs co-simulates the candidate pairs one at a time, each on its
+// own one-chip machine with both threads on core 0 (RunContext places
+// threads core-major), i.e. the two programs genuinely share one SMT
+// core's pipeline and caches. The score is the SMT-selection metric of the
+// pair's counter snapshot.
 //
-// Returns the scores gathered before any interruption plus the score
-// matrix; a context expiry surfaces as a non-nil error with partial
-// results, any other group failure as a hard error.
+// Returns the scores of every pair that finished before any interruption
+// plus the score matrix; a context expiry surfaces as a non-nil error with
+// those partial results, any other run failure as a hard error.
 func (e *Engine) scorePairs(ctx context.Context, in *Input, pairs []pair) ([]api.PairScore, map[pair]float64, error) {
 	matrix := make(map[pair]float64, len(pairs))
 	var list []api.PairScore
-	for start := 0; start < len(pairs); start += DefaultMaxChunk {
+	for _, p := range pairs {
 		if err := ctx.Err(); err != nil {
 			return list, matrix, err
 		}
-		end := start + DefaultMaxChunk
-		if end > len(pairs) {
-			end = len(pairs)
-		}
-		cps := pairs[start:end]
-		groups := make([][]isa.Source, len(cps))
-		for k, p := range cps {
-			src, err := e.pairSources(in, p)
-			if err != nil {
-				return list, matrix, err
-			}
-			groups[k] = src
+		a, b := in.Workloads[p.i].Name, in.Workloads[p.j].Name
+		src, err := e.pairSources(in, p)
+		if err != nil {
+			return list, matrix, err
 		}
 		var m *cpu.Machine
-		var err error
 		if e.Pool != nil {
-			m, err = e.Pool.Get(in.Desc, len(cps))
+			m, err = e.Pool.Get(in.Desc, 1)
 		} else {
-			m, err = cpu.NewMachine(in.Desc, len(cps))
+			m, err = cpu.NewMachine(in.Desc, 1)
 		}
 		if err != nil {
 			return list, matrix, err
 		}
-		res, err := m.RunBatch(ctx, groups, 1, DefaultScoreCycles)
+		wall, err := m.RunContext(ctx, src, DefaultScoreCycles)
+		snap := m.Counters()
 		if e.Pool != nil {
 			e.Pool.Put(m)
 		}
-		if err != nil {
-			return list, matrix, err
+		if err != nil && !errors.Is(err, cpu.ErrCycleLimit) {
+			return list, matrix, fmt.Errorf("pair %s×%s: %w", a, b, err)
 		}
-		for k, r := range res {
-			p := cps[k]
-			if r.Err != nil && !errors.Is(r.Err, cpu.ErrCycleLimit) {
-				a, b := in.Workloads[p.i].Name, in.Workloads[p.j].Name
-				return list, matrix, fmt.Errorf("pair %s×%s: %w", a, b, r.Err)
-			}
-			v := smtsm.Compute(in.Desc, &r.Snapshot).Value
-			matrix[p] = v
-			list = append(list, api.PairScore{
-				A:          in.Workloads[p.i].Name,
-				B:          in.Workloads[p.j].Name,
-				Score:      v,
-				WallCycles: r.Wall,
-			})
-		}
+		v := smtsm.Compute(in.Desc, &snap).Value
+		matrix[p] = v
+		list = append(list, api.PairScore{A: a, B: b, Score: v, WallCycles: wall})
 	}
 	return list, matrix, nil
 }
