@@ -59,8 +59,8 @@ import (
 //     rotate and nothing accrues.
 //
 // Live cores: the run loop steps, schedules and macro-steps only the
-// domain's live-core list (domain.live) — the cores with at least one
-// unfinished context, in d.cores order. A core without one (never
+// machine's live-core list (Machine.live) — the cores with at least one
+// unfinished context, in m.cores order. A core without one (never
 // populated, or its last context finished) can change nothing but its
 // round-robin pointers: it holds no fetchable thread, no fetch buffer and
 // no in-flight instruction of this run, and touches no cache or DRAM, so
@@ -71,22 +71,22 @@ import (
 // every core: the scan engine rotates no pointer across a frozen stretch,
 // so every core's lastStepped must move past it. A core whose last context
 // finishes leaves the list in a stable in-place compaction after the
-// round's loop, so the survivors keep d.cores order — the order the stages
+// round's loop, so the survivors keep m.cores order — the order the stages
 // run in per cycle, and so the order of shared L3 and DRAM accesses.
 
 // neverEvent marks a core with no scheduled event (all contexts finished,
 // or progress only possible through another context's action).
 const neverEvent = int64(1) << 62
 
-// Macro-stepping: when every unfinished thread in the domain sits inside a
+// Macro-stepping: when every unfinished thread in the run sits inside a
 // homogeneous compute run — its source (a ComputeRunner) guarantees the
 // next k Fetch calls all return FetchOK, with no lock, barrier, sleep or
 // end-of-work boundary inside the run — the engine retires a whole stretch
 // of cycles in one bulk update (macroStep) instead of running the per-cycle
 // event bookkeeping. The macro loop executes the exact per-cycle stage
 // sequence the scan engine runs (retire, issue, dispatch, fetch, per live
-// core in domain order), so the microarchitectural simulation is bit-identical
-// by construction; what it elides is the event-engine overhead around it —
+// core in m.cores order), so the microarchitectural simulation is
+// bit-identical by construction; what it elides is the event-engine overhead around it —
 // next-event computation, the merged end-of-cycle flag pass, and the
 // round-loop scheduling — plus the scan engine's endCycle/anyBusy passes,
 // whose effects are reconstructed arithmetically:
@@ -162,7 +162,7 @@ func (c *Core) macroRun() int64 {
 }
 
 // alive reports whether any active context on the core holds an
-// unfinished thread: membership of the domain's live-core list.
+// unfinished thread: membership of the machine's live-core list.
 func (c *Core) alive() bool {
 	for i := 0; i < c.used; i++ {
 		if !c.contexts[i].finished {
@@ -175,25 +175,25 @@ func (c *Core) alive() bool {
 // allHot reports whether every live core is due to step within the hot
 // horizon or has no scheduled event at all. A core with a distant future
 // event — a pending DRAM completion, a fetch-redirect expiry — makes the
-// domain non-hot: the event engine profits from skipping toward that
+// machine non-hot: the event engine profits from skipping toward that
 // event, so macro-stepping stays out of the way.
-func (d *domain) allHot() bool {
-	for _, c := range d.live {
-		if c.nextEvent > d.now+macroHotHorizon && c.nextEvent != neverEvent {
+func (m *Machine) allHot() bool {
+	for _, c := range m.live {
+		if c.nextEvent > m.now+macroHotHorizon && c.nextEvent != neverEvent {
 			return false
 		}
 	}
 	return true
 }
 
-// macroSpan computes the bulk-steppable span starting at cycle d.now+1: the
+// macroSpan computes the bulk-steppable span starting at cycle m.now+1: the
 // machine-wide minimum guaranteed compute run divided by the fetch width
 // (the per-core, per-cycle upper bound on fetch consumption), capped by the
 // chunk size and the cycle deadline. Zero means no profitable span.
-func (d *domain) macroSpan(deadline int64) int64 {
-	fw := int64(d.cores[0].arch.FetchWidth)
+func (m *Machine) macroSpan(deadline int64) int64 {
+	fw := int64(m.cores[0].arch.FetchWidth)
 	run := int64(neverEvent)
-	for _, c := range d.live {
+	for _, c := range m.live {
 		r := c.macroRun()
 		if r < run {
 			run = r
@@ -209,7 +209,7 @@ func (d *domain) macroSpan(deadline int64) int64 {
 	if span > macroChunk {
 		span = macroChunk
 	}
-	if lim := deadline - d.now - 1; span > lim {
+	if lim := deadline - m.now - 1; span > lim {
 		span = lim
 	}
 	return span
@@ -221,21 +221,21 @@ func (d *domain) macroSpan(deadline int64) int64 {
 // above). Pending fast-forwards are settled first so live cores due
 // exactly at from enter the stretch with their bookkeeping current; cores
 // off the live list keep their pending skip until the exit settle.
-func (d *domain) macroStep(from, span int64) {
-	for _, c := range d.live {
+func (m *Machine) macroStep(from, span int64) {
+	for _, c := range m.live {
 		if k := from - 1 - c.lastStepped; k > 0 {
 			c.fastForward(c.lastStepped, k)
 		}
 	}
 	for cy := from; cy < from+span; cy++ {
-		for _, c := range d.live {
+		for _, c := range m.live {
 			c.stepRetire(cy)
 			c.stepIssue(cy)
 			c.stepDispatch(cy)
 			c.stepFetch(cy)
 		}
 	}
-	for _, c := range d.live {
+	for _, c := range m.live {
 		for i := 0; i < c.used; i++ {
 			ctx := c.contexts[i]
 			if !ctx.finished {
@@ -250,7 +250,7 @@ func (d *domain) macroStep(from, span int64) {
 		c.idleProbe = false
 		c.idleExact = false
 	}
-	d.now = from + span
+	m.now = from + span
 }
 
 // step runs one full cycle on the core and refreshes its event-engine
@@ -479,8 +479,8 @@ func (c *Core) fastForward(from, k int64) {
 // that left the live list. Called on every run-loop exit (and before a
 // pure-sleep freeze) so that Counters and the round-robin pointers always
 // reflect the full simulated range.
-func (d *domain) settleCores(upto int64) {
-	for _, c := range d.cores {
+func (m *Machine) settleCores(upto int64) {
+	for _, c := range m.cores {
 		if k := upto - c.lastStepped; k > 0 {
 			c.fastForward(c.lastStepped, k)
 			c.lastStepped = upto
@@ -489,50 +489,50 @@ func (d *domain) settleCores(upto int64) {
 }
 
 // compactLive drops the cores whose last context finished from the live
-// list, in place and stably, so the survivors keep d.cores order.
-func (d *domain) compactLive() {
+// list, in place and stably, so the survivors keep m.cores order.
+func (m *Machine) compactLive() {
 	n := 0
-	for _, c := range d.live {
+	for _, c := range m.live {
 		if c.alive() {
-			d.live[n] = c
+			m.live[n] = c
 			n++
 		}
 	}
-	d.live = d.live[:n]
+	m.live = m.live[:n]
 }
 
 // runEvent is the event-driven run loop: it steps only cores whose next
 // event is due and advances the clock to the earliest pending event
 // otherwise. remaining is the count of unfinished sources; deadline is the
 // absolute cycle limit.
-func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (int64, error) {
-	start := d.now
+func (m *Machine) runEvent(ctx context.Context, remaining int, deadline int64) (int64, error) {
+	start := m.now
 	nextCheck := start + ctxCheckInterval
 	// The live list is rebuilt in place: its backing array has room for
-	// every core of the domain, so the appends never allocate.
-	d.live = d.live[:0]
-	for _, c := range d.cores {
-		c.lastStepped = d.now - 1
+	// every core of the machine, so the appends never allocate.
+	m.live = m.live[:0]
+	for _, c := range m.cores {
+		c.lastStepped = m.now - 1
 		c.nextEvent = neverEvent
 		c.busyEnd = false
 		c.idleProbe = false
 		c.idleExact = false
 		if c.alive() {
-			c.nextEvent = d.now
-			d.live = append(d.live, c)
+			c.nextEvent = m.now
+			m.live = append(m.live, c)
 		}
 	}
 	for remaining > 0 {
-		if d.now >= deadline {
-			d.settleCores(d.now - 1)
-			return d.now - start, ErrCycleLimit
+		if m.now >= deadline {
+			m.settleCores(m.now - 1)
+			return m.now - start, ErrCycleLimit
 		}
-		if d.now >= nextCheck {
-			nextCheck = d.now + ctxCheckInterval
+		if m.now >= nextCheck {
+			nextCheck = m.now + ctxCheckInterval
 			select {
 			case <-ctx.Done():
-				d.settleCores(d.now - 1)
-				return d.now - start, fmt.Errorf("%w after %d cycles: %w", ErrCanceled, d.now-start, ctx.Err())
+				m.settleCores(m.now - 1)
+				return m.now - start, fmt.Errorf("%w after %d cycles: %w", ErrCanceled, m.now-start, ctx.Err())
 			default:
 			}
 		}
@@ -546,12 +546,12 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 		sawProbe := false
 		died := false
 		next := int64(neverEvent)
-		for _, c := range d.live {
-			if c.nextEvent <= d.now || (c.idleExact && c.exactDue(d.now)) {
-				if k := d.now - 1 - c.lastStepped; k > 0 {
+		for _, c := range m.live {
+			if c.nextEvent <= m.now || (c.idleExact && c.exactDue(m.now)) {
+				if k := m.now - 1 - c.lastStepped; k > 0 {
 					c.fastForward(c.lastStepped, k)
 				}
-				if f := c.step(d.now); f > 0 {
+				if f := c.step(m.now); f > 0 {
 					remaining -= f
 					if !c.alive() {
 						c.nextEvent = neverEvent
@@ -570,33 +570,33 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 			}
 		}
 		if remaining == 0 {
-			d.now++
+			m.now++
 			break
 		}
 		if died {
-			d.compactLive()
+			m.compactLive()
 		}
 		if busy {
-			if !sawProbe && d.allHot() {
+			if !sawProbe && m.allHot() {
 				// Macro-stepping candidate: every live core is compute-hot.
 				// After the warmup streak, bulk-step the machine-wide
 				// guaranteed compute run (chunked, deadline-capped); on any
 				// failed condition fall through to the exact 1-cycle round.
-				d.hotStreak++
-				if d.hotStreak >= macroWarmup {
-					if span := d.macroSpan(deadline); span > 0 {
-						d.macroStep(d.now+1, span)
+				m.hotStreak++
+				if m.hotStreak >= macroWarmup {
+					if span := m.macroSpan(deadline); span > 0 {
+						m.macroStep(m.now+1, span)
 						continue
 					}
 				}
 			} else {
-				d.hotStreak = 0
+				m.hotStreak = 0
 			}
 			if sawProbe {
 				// Hint pass, after every step of this round so lock grants
 				// issued this round are visible.
-				for _, c := range d.live {
-					if !c.idleProbe || c.nextEvent <= d.now+1 {
+				for _, c := range m.live {
+					if !c.idleProbe || c.nextEvent <= m.now+1 {
 						continue
 					}
 					if c.idleExact {
@@ -604,7 +604,7 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 						// wake with the hint. Not cached in nextEvent — a
 						// grant may move the hint, so every round re-reads
 						// it fresh.
-						if w := c.exactWake(d.now); w < next {
+						if w := c.exactWake(m.now); w < next {
 							next = w
 						}
 					} else {
@@ -615,18 +615,18 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 						// barrier wake pays its latency from the probing
 						// cycle), so this matches the scan engine probe for
 						// probe.
-						c.nextEvent = d.now + 1
-						next = d.now + 1
+						c.nextEvent = m.now + 1
+						next = m.now + 1
 					}
 				}
 			}
 		} else {
 			// The whole machine is idle: no external wake can occur, so
 			// jump to the earliest hardware event or wake hint.
-			d.hotStreak = 0
+			m.hotStreak = 0
 			hard := next
 			hint := int64(neverEvent)
-			for _, c := range d.live {
+			for _, c := range m.live {
 				if !c.idleProbe {
 					continue
 				}
@@ -635,9 +635,9 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 					if cc.finished || !cc.sawIdleThisCycle {
 						continue
 					}
-					h := d.now + 1
+					h := m.now + 1
 					if cc.waker != nil {
-						if wh := cc.waker.WakeHint(d.now); wh > h {
+						if wh := cc.waker.WakeHint(m.now); wh > h {
 							h = wh
 						}
 					}
@@ -650,30 +650,30 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 				// Pure sleep: the scan engine's idleSkip jumps the clock
 				// without stepping — credit pending skips, then freeze.
 				next = hint
-				if next <= d.now {
-					next = d.now + 1
+				if next <= m.now {
+					next = m.now + 1
 				}
 				if next > deadline {
 					next = deadline
 				}
 				// Every core freezes, finished ones included: the exit
 				// settle must not rotate them through the frozen stretch.
-				d.settleCores(d.now)
-				for _, c := range d.cores {
+				m.settleCores(m.now)
+				for _, c := range m.cores {
 					c.lastStepped = next - 1
 				}
-				for _, c := range d.live {
+				for _, c := range m.live {
 					c.nextEvent = next
 				}
-				d.now = next
+				m.now = next
 				continue
 			}
 			next = hard
 			if hint < next {
 				next = hint
 			}
-			if next <= d.now {
-				next = d.now + 1
+			if next <= m.now {
+				next = m.now + 1
 			}
 			if next > deadline {
 				next = deadline
@@ -682,20 +682,20 @@ func (d *domain) runEvent(ctx context.Context, remaining int, deadline int64) (i
 			// stretch ends, and a waking thread's first probe can act on
 			// state another core changes that same cycle (a barrier pass),
 			// so every live core must step at the jump target.
-			for _, c := range d.live {
+			for _, c := range m.live {
 				c.nextEvent = next
 			}
-			d.now = next
+			m.now = next
 			continue
 		}
-		if next <= d.now {
-			next = d.now + 1
+		if next <= m.now {
+			next = m.now + 1
 		}
 		if next > deadline {
 			next = deadline
 		}
-		d.now = next
+		m.now = next
 	}
-	d.settleCores(d.now - 1)
-	return d.now - start, nil
+	m.settleCores(m.now - 1)
+	return m.now - start, nil
 }

@@ -253,32 +253,31 @@ func TestIdleNextHintMix(t *testing.T) {
 	a := mkCtx(&hintSource{wake: 5000})
 	b := mkCtx(&hintSource{wake: 3000})
 	a.sawIdleThisCycle, b.sawIdleThisCycle = true, true
-	d := &domain{cores: m.cores}
-	d.threads = []*Context{a, b}
-	if next, frozen := d.idleNext(now, deadline); next != 3000 || !frozen {
+	m.threadCtx = []*Context{a, b}
+	if next, frozen := m.idleNext(now, deadline); next != 3000 || !frozen {
 		t.Fatalf("hinted sleepers: next=%d frozen=%v, want 3000/true", next, frozen)
 	}
 
 	// A hintless idle source pins the jump to now+1 but no further.
 	c := mkCtx(plainIdle{})
 	c.sawIdleThisCycle = true
-	d.threads = []*Context{a, c}
-	if next, frozen := d.idleNext(now, deadline); next != now+1 || !frozen {
+	m.threadCtx = []*Context{a, c}
+	if next, frozen := m.idleNext(now, deadline); next != now+1 || !frozen {
 		t.Fatalf("hintless mix: next=%d frozen=%v, want %d/true", next, frozen, now+1)
 	}
 
 	// A redirect-stalled context: jump to the stall expiry, stepped-equivalent.
 	s := mkCtx(&fixedStream{n: 10, class: isa.Int})
 	s.fetchStallUntil = now + 40
-	d.threads = []*Context{a, s}
-	if next, frozen := d.idleNext(now, deadline); next != now+40 || frozen {
+	m.threadCtx = []*Context{a, s}
+	if next, frozen := m.idleNext(now, deadline); next != now+40 || frozen {
 		t.Fatalf("stalled mix: next=%d frozen=%v, want %d/false", next, frozen, now+40)
 	}
 
 	// Deadline clamps the jump.
-	d.threads = []*Context{a}
+	m.threadCtx = []*Context{a}
 	a.sawIdleThisCycle = true
-	if next, _ := d.idleNext(now, 2000); next != 2000 {
+	if next, _ := m.idleNext(now, 2000); next != 2000 {
 		t.Fatalf("deadline clamp: next=%d, want 2000", next)
 	}
 }
