@@ -84,12 +84,6 @@ type Runner struct {
 	// serialized by the runner; the callback must not call back into the
 	// same Runner.
 	OnEvent func(Event)
-	// Events, when non-nil, receives each cell completion. Sends are
-	// blocking: the consumer must drain the channel for the sweep to make
-	// progress. The runner does not close the channel (the same channel may
-	// observe several sweeps); consumers should stop receiving after Sweep
-	// returns.
-	Events chan<- Event
 	// Now is the clock behind the timing fields (Stats.Elapsed,
 	// Stats.CellTime, Event.Elapsed). Simulated results never depend on it —
 	// this package is wall-clock-free by contract (detlint) — so it is nil
@@ -236,9 +230,6 @@ func (r *Runner) runCell(ctx context.Context, j job, total int, mu *sync.Mutex, 
 	ev := Event{Ref: j.ref, Seq: *seq, Total: total, Elapsed: elapsed, Cached: cached, Err: err}
 	if r.OnEvent != nil {
 		r.OnEvent(ev)
-	}
-	if r.Events != nil {
-		r.Events <- ev
 	}
 }
 

@@ -86,9 +86,11 @@ func TestSweepErrorIsolation(t *testing.T) {
 	if len(events) != 3 {
 		t.Fatalf("%d events, want 3", len(events))
 	}
-	for _, ev := range events {
-		if ev.Seq < 1 || ev.Seq > 3 || ev.Total != 3 {
-			t.Errorf("event %+v: bad Seq/Total", ev)
+	// OnEvent calls are serialized with the Seq count, so they arrive in
+	// Seq order.
+	for i, ev := range events {
+		if ev.Seq != i+1 || ev.Total != 3 {
+			t.Errorf("event %d %+v: want Seq %d, Total 3", i, ev, i+1)
 		}
 	}
 	if c := m.Cell(context.Background(), "NoSuchBenchmark", 1); c.Err == nil {
@@ -194,31 +196,6 @@ func TestSweepSharesInFlightCells(t *testing.T) {
 		if c := <-results; c != first {
 			t.Fatal("concurrent Cell calls returned distinct result objects")
 		}
-	}
-}
-
-// TestEventsChannel: the channel form of progress reporting delivers every
-// completion in Seq order.
-func TestEventsChannel(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-backed test")
-	}
-	m := NewMatrix(P7OneChip, DefaultSeed)
-	events := make(chan Event)
-	r := &Runner{Workers: 2, Events: events}
-	go func() {
-		_, _ = r.Sweep(context.Background(), m, detBenches, []int{1})
-		close(events)
-	}()
-	seq := 0
-	for ev := range events {
-		seq++
-		if ev.Seq != seq {
-			t.Errorf("event out of order: got Seq %d at position %d", ev.Seq, seq)
-		}
-	}
-	if seq != len(detBenches) {
-		t.Fatalf("received %d events, want %d", seq, len(detBenches))
 	}
 }
 

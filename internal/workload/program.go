@@ -21,7 +21,6 @@ import (
 type Program struct {
 	spec       Spec // private deep copy: callers cannot mutate a compiled program
 	numThreads int
-	seed       uint64
 	iters      int64
 	threads    []*genTables
 }
@@ -36,7 +35,7 @@ func Compile(spec *Spec, numThreads int, seed uint64) (*Program, error) {
 	if numThreads <= 0 {
 		return nil, fmt.Errorf("workload %s: non-positive thread count", spec.Name)
 	}
-	p := &Program{spec: *spec, numThreads: numThreads, seed: seed}
+	p := &Program{spec: *spec, numThreads: numThreads}
 	perThread := p.spec.TotalWork / int64(numThreads)
 	p.iters = perThread / int64(p.spec.IterLen)
 	if p.iters < 1 {
@@ -49,16 +48,6 @@ func Compile(spec *Spec, numThreads int, seed uint64) (*Program, error) {
 	}
 	return p, nil
 }
-
-// Spec returns the program's validated spec copy. Callers must not mutate
-// it; take a copy to derive variants.
-func (p *Program) Spec() *Spec { return &p.spec }
-
-// NumThreads returns the thread count the program was compiled for.
-func (p *Program) NumThreads() int { return p.numThreads }
-
-// Seed returns the seed the program was compiled with.
-func (p *Program) Seed() uint64 { return p.seed }
 
 // Instantiate stamps a fresh runnable Instance from the compiled program:
 // a new scheduler runtime with the spec's lock/barrier structure and one

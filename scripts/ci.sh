@@ -180,11 +180,11 @@ stage_race() {
 	go test -race -count=1 ./internal/experiments ./internal/cpu ./internal/sched \
 		./internal/server ./internal/router ./internal/report ./internal/fault \
 		./internal/controller ./internal/workload ./internal/placement ./client
-	# Chip-parallel determinism, explicitly: batched simulation must be
-	# bit-identical to solo runs at any GOMAXPROCS, with the race detector
-	# watching the per-group domain isolation.
-	step "chip-parallel determinism under race"
-	go test -race -count=1 -run 'TestRunBatchDeterminism|TestRunBatchMatchesSolo|TestRunBatchPairShapeMatchesScan|TestPlaceDeterministicAcrossRuns' \
+	# Placement determinism, explicitly: the pair-scoring shape must match
+	# its scan referee and golden pins, and a placement must reproduce
+	# byte for byte, also under the race detector.
+	step "placement determinism under race"
+	go test -race -count=1 -run 'TestPairShapeMatchesScan|TestPlaceDeterministicAcrossRuns' \
 		./internal/cpu ./internal/placement
 }
 
@@ -195,6 +195,7 @@ stage_fuzz() {
 	go test -run '^$' -fuzz FuzzPlaceRouteKey -fuzztime 10s ./internal/router
 	go test -run '^$' -fuzz FuzzEndpoints -fuzztime 10s ./internal/server
 	go test -run '^$' -fuzz FuzzIssueStreams -fuzztime 10s ./internal/cpu
+	go test -run '^$' -fuzz FuzzPlaceCanonical -fuzztime 10s ./internal/placement
 }
 
 run_stage() {
