@@ -193,16 +193,67 @@ func RunAdaptiveContext(ctx context.Context, m *cpu.Machine, ctrl *Controller, s
 	return log, total, nil
 }
 
-// ProbeResult is the outcome of one max-SMT-level measurement probe: the
-// wall time, the counter snapshot, and the metric breakdown computed from
-// it. It carries everything an advisor needs to issue a recommendation.
+// ProbeResult is the outcome of one measured run — a max-SMT-level probe,
+// a pair co-run, an experiment cell: the wall time, the counter snapshot,
+// and the metric breakdown computed from it. It carries everything an
+// advisor needs to issue a recommendation.
 type ProbeResult struct {
-	// WallCycles is the probe run's simulated wall-clock time.
+	// WallCycles is the run's simulated wall-clock time.
 	WallCycles int64
 	// Snapshot is the cumulative counter snapshot after the run.
 	Snapshot counters.Snapshot
 	// Metric is the SMT-selection metric evaluated on the snapshot.
 	Metric smtsm.Breakdown
+	// UsefulInstrs and SpinInstrs split the instructions the run's threads
+	// retired into real work and lock spinning.
+	UsefulInstrs, SpinInstrs int64
+}
+
+// Part is one workload of a measured run: Spec instantiated with Threads
+// software threads (0 means one per hardware thread at the machine's SMT
+// level) from Seed.
+type Part struct {
+	Spec    *workload.Spec
+	Threads int
+	Seed    uint64
+}
+
+// Measure is the one measured run every caller shares: it instantiates the
+// parts in order, runs all their threads on m (RunContext places thread i
+// on hardware context i, core-major) for at most maxCycles (0 means no
+// cap), and computes the SMT-selection metric from the counters. m must be
+// in the state to be measured: freshly built, from a pool, or Reset.
+//
+// ctx is checked once before simulating, because a short run can finish
+// before the simulator's first poll; a done context, like a part that does
+// not instantiate, fails with a zero result. A run cut by ctx or maxCycles
+// returns what it measured up to the cut alongside the error.
+func Measure(ctx context.Context, m *cpu.Machine, parts []Part, maxCycles int64) (ProbeResult, error) {
+	if err := ctx.Err(); err != nil {
+		return ProbeResult{}, err
+	}
+	insts := make([]*workload.Instance, len(parts))
+	var srcs []isa.Source
+	for i, p := range parts {
+		threads := p.Threads
+		if threads == 0 {
+			threads = m.HardwareThreads()
+		}
+		inst, err := workload.Instantiate(p.Spec, threads, p.Seed)
+		if err != nil {
+			return ProbeResult{}, err
+		}
+		insts[i] = inst
+		srcs = append(srcs, inst.Sources()...)
+	}
+	wall, err := m.RunContext(ctx, srcs, maxCycles)
+	res := ProbeResult{WallCycles: wall, Snapshot: m.Counters()}
+	res.Metric = smtsm.Compute(m.Arch(), &res.Snapshot)
+	for _, inst := range insts {
+		res.UsefulInstrs += inst.UsefulInstrs()
+		res.SpinInstrs += inst.SpinInstrs()
+	}
+	return res, err
 }
 
 // Prober runs max-SMT probes, reusing simulated machines from Pool when it
@@ -227,46 +278,16 @@ type Prober struct {
 // path) inspect the partial snapshot; callers that cannot simply honour
 // the error.
 func (p *Prober) Probe(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (ProbeResult, error) {
-	// The simulator polls ctx only every few thousand simulated cycles; a
-	// short probe can finish before the first poll, so check up front that
-	// the caller still wants the result.
-	if err := ctx.Err(); err != nil {
-		return ProbeResult{}, err
-	}
-	var m *cpu.Machine
-	var err error
-	if p.Pool != nil {
-		m, err = p.Pool.Get(d, chips)
-	} else {
-		m, err = cpu.NewMachine(d, chips)
-	}
+	m, err := p.Pool.Get(d, chips)
 	if err != nil {
 		return ProbeResult{}, err
 	}
-	if p.Pool != nil {
-		defer p.Pool.Put(m)
-	}
-	// A pool Get can block behind other borrowers; the deadline may have
-	// passed while this probe waited for a machine, so re-check before
-	// spending simulation time.
-	if err := ctx.Err(); err != nil {
-		return ProbeResult{}, err
-	}
-	inst, err := workload.Instantiate(spec, m.HardwareThreads(), seed)
-	if err != nil {
-		return ProbeResult{}, err
-	}
-	wall, err := m.RunContext(ctx, inst.Sources(), 0)
-	snap := m.Counters()
-	res := ProbeResult{
-		WallCycles: wall,
-		Snapshot:   snap,
-		Metric:     smtsm.Compute(d, &snap),
-	}
-	if err != nil {
-		// RunContext already reported the cycles completed before the
-		// interruption; hand the partial observation up with the error.
+	defer p.Pool.Put(m)
+	res, err := Measure(ctx, m, []Part{{Spec: spec, Seed: seed}}, 0)
+	if err != nil && res.WallCycles > 0 {
+		// The run itself was cut: name the probe, and hand the partial
+		// observation up with the error.
 		return res, fmt.Errorf("probe %s@SMT%d: %w", spec.Name, m.SMTLevel(), err)
 	}
-	return res, nil
+	return res, err
 }

@@ -1,7 +1,6 @@
 package cpu
 
 import (
-	"errors"
 	"sync"
 
 	"repro/internal/arch"
@@ -39,8 +38,10 @@ type PoolStats struct {
 // the clock, and the SMT level and engine are restored to their
 // construction defaults. TestPoolIdentity pins this.
 //
-// The zero Pool is not usable; build one with NewPool. All methods are safe
-// for concurrent use.
+// The zero Pool is not usable; build one with NewPool. A nil *Pool is: its
+// Get builds a fresh machine and its Put drops the machine, so a caller
+// holding an optional pool needs no pooled-or-fresh branch. All methods are
+// safe for concurrent use.
 type Pool struct {
 	mu        sync.Mutex
 	idle      map[PoolKey][]*Machine
@@ -64,10 +65,10 @@ func NewPool(maxPerKey int) *Pool {
 // Get returns a machine for the given architecture and chip count, reusing
 // a parked one when available. The machine is in freshly-constructed state:
 // cold caches, zeroed counters and clock, the architecture's maximum SMT
-// level, and the default engine.
+// level, and the default engine. A nil Pool builds every machine fresh.
 func (p *Pool) Get(d *arch.Desc, chips int) (*Machine, error) {
 	if p == nil {
-		return nil, errors.New("cpu: nil pool")
+		return NewMachine(d, chips)
 	}
 	key := PoolKey{Arch: d.Name, Chips: chips}
 	p.mu.Lock()

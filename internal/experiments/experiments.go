@@ -17,6 +17,7 @@ import (
 	"time"
 
 	"repro/internal/arch"
+	"repro/internal/controller"
 	"repro/internal/counters"
 	"repro/internal/cpu"
 	"repro/internal/smtsm"
@@ -153,8 +154,9 @@ func (m *Matrix) Cell(ctx context.Context, bench string, smt int) *Cell {
 		return &Cell{Bench: bench, SMT: smt, Err: err}
 	}
 	c := m.run(ctx, bench, smt)
-	if c.Err != nil && errors.Is(c.Err, cpu.ErrCanceled) {
-		// Interrupted mid-run: hand back the partial result uncached.
+	if errors.Is(c.Err, context.Canceled) || errors.Is(c.Err, context.DeadlineExceeded) {
+		// Interrupted (mid-run, or while the cell waited for its machine):
+		// hand back the partial result uncached.
 		return c
 	}
 	e.c = c
@@ -214,14 +216,8 @@ func (m *Matrix) run(ctx context.Context, bench string, smt int) *Cell {
 		c.Err = err
 		return c
 	}
-	inst, err := workload.Instantiate(spec, mach.HardwareThreads(), m.Seed)
-	if err != nil {
-		c.Err = err
-		return c
-	}
-	c.Wall, c.Err = mach.RunContext(ctx, inst.Sources(), MaxRunCycles)
-	c.Snap = mach.Counters()
-	c.Metric = smtsm.Compute(m.archDesc, &c.Snap)
+	res, err := controller.Measure(ctx, mach, []controller.Part{{Spec: spec, Seed: m.Seed}}, MaxRunCycles)
+	c.Wall, c.Snap, c.Metric, c.Err = res.WallCycles, res.Snapshot, res.Metric, err
 	return c
 }
 

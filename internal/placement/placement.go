@@ -31,9 +31,8 @@ import (
 
 	"repro/api"
 	"repro/internal/arch"
+	"repro/internal/controller"
 	"repro/internal/cpu"
-	"repro/internal/isa"
-	"repro/internal/smtsm"
 	"repro/internal/workload"
 	"repro/internal/xrand"
 )
@@ -294,28 +293,18 @@ func pairSeed(seed uint64, a, b string, side uint64) uint64 {
 	return xrand.Mix64(seed ^ xrand.Mix64(xrand.HashString(a)^xrand.Mix64(xrand.HashString(b)+side)))
 }
 
-// pairSources instantiates the two threads of one pair co-run. Each pair
-// gets its own instantiation, so no sched runtime state (locks, barriers)
-// carries from one co-run into the next.
-func (e *Engine) pairSources(in *Input, p pair) ([]isa.Source, error) {
-	a := in.Workloads[p.i]
+// pairParts names the two threads of one pair co-run. Each pair gets its
+// own instantiation, so no sched runtime state (locks, barriers) carries
+// from one co-run into the next.
+func pairParts(in *Input, p pair) []controller.Part {
+	a, b := in.Workloads[p.i], in.Workloads[p.j]
 	if p.i == p.j {
-		inst, err := workload.Instantiate(a.Spec, 2, pairSeed(in.Seed, a.Name, a.Name, 0))
-		if err != nil {
-			return nil, fmt.Errorf("pair %s×%s: %w", a.Name, a.Name, err)
-		}
-		return inst.Sources(), nil
+		return []controller.Part{{Spec: a.Spec, Threads: 2, Seed: pairSeed(in.Seed, a.Name, a.Name, 0)}}
 	}
-	b := in.Workloads[p.j]
-	ia, err := workload.Instantiate(a.Spec, 1, pairSeed(in.Seed, a.Name, b.Name, 0))
-	if err != nil {
-		return nil, fmt.Errorf("pair %s×%s: %w", a.Name, b.Name, err)
+	return []controller.Part{
+		{Spec: a.Spec, Threads: 1, Seed: pairSeed(in.Seed, a.Name, b.Name, 0)},
+		{Spec: b.Spec, Threads: 1, Seed: pairSeed(in.Seed, a.Name, b.Name, 1)},
 	}
-	ib, err := workload.Instantiate(b.Spec, 1, pairSeed(in.Seed, a.Name, b.Name, 1))
-	if err != nil {
-		return nil, fmt.Errorf("pair %s×%s: %w", a.Name, b.Name, err)
-	}
-	return []isa.Source{ia.Sources()[0], ib.Sources()[0]}, nil
 }
 
 // scorePairs co-simulates the candidate pairs one at a time, each on its
@@ -335,30 +324,17 @@ func (e *Engine) scorePairs(ctx context.Context, in *Input, pairs []pair) ([]api
 			return list, matrix, err
 		}
 		a, b := in.Workloads[p.i].Name, in.Workloads[p.j].Name
-		src, err := e.pairSources(in, p)
+		m, err := e.Pool.Get(in.Desc, 1)
 		if err != nil {
 			return list, matrix, err
 		}
-		var m *cpu.Machine
-		if e.Pool != nil {
-			m, err = e.Pool.Get(in.Desc, 1)
-		} else {
-			m, err = cpu.NewMachine(in.Desc, 1)
-		}
-		if err != nil {
-			return list, matrix, err
-		}
-		wall, err := m.RunContext(ctx, src, DefaultScoreCycles)
-		snap := m.Counters()
-		if e.Pool != nil {
-			e.Pool.Put(m)
-		}
+		res, err := controller.Measure(ctx, m, pairParts(in, p), DefaultScoreCycles)
+		e.Pool.Put(m)
 		if err != nil && !errors.Is(err, cpu.ErrCycleLimit) {
 			return list, matrix, fmt.Errorf("pair %s×%s: %w", a, b, err)
 		}
-		v := smtsm.Compute(in.Desc, &snap).Value
-		matrix[p] = v
-		list = append(list, api.PairScore{A: a, B: b, Score: v, WallCycles: wall})
+		matrix[p] = res.Metric.Value
+		list = append(list, api.PairScore{A: a, B: b, Score: res.Metric.Value, WallCycles: res.WallCycles})
 	}
 	return list, matrix, nil
 }

@@ -35,8 +35,9 @@
 //	best, _ := smtselect.BestSMTLevel(ctx, smtselect.POWER7(), 1, spec, 42)
 //
 // Every entry point that simulates takes a context.Context first: cancel
-// it (or attach a deadline) to bound the simulation; results produced
-// before the deadline are returned alongside the context error.
+// it (or attach a deadline) to bound the simulation. RunWorkload and
+// RunAdaptive return what they measured before the cut alongside the
+// context error; BestSMTLevel and Calibrate return only the error.
 package smtselect
 
 import (
@@ -128,25 +129,19 @@ type RunResult struct {
 // RunWorkload runs spec on m with one software thread per hardware thread
 // (the paper's methodology) and returns the wall time, counters and metric.
 // The machine's microarchitectural state is reset first so results are
-// comparable across SMT levels.
+// comparable across SMT levels. A context that is already done fails the
+// call before any simulation; a run the context cuts returns the partial
+// result alongside the error.
 func RunWorkload(ctx context.Context, m *Machine, spec *WorkloadSpec, seed uint64) (RunResult, error) {
 	m.Reset()
-	inst, err := workload.Instantiate(spec, m.HardwareThreads(), seed)
-	if err != nil {
-		return RunResult{}, err
-	}
-	wall, err := m.RunContext(ctx, inst.Sources(), 0)
-	if err != nil {
-		return RunResult{}, err
-	}
-	snap := m.Counters()
+	res, err := controller.Measure(ctx, m, []controller.Part{{Spec: spec, Seed: seed}}, 0)
 	return RunResult{
-		WallCycles:   wall,
-		Counters:     snap,
-		Metric:       smtsm.Compute(m.Arch(), &snap),
-		UsefulInstrs: inst.UsefulInstrs(),
-		SpinInstrs:   inst.SpinInstrs(),
-	}, nil
+		WallCycles:   res.WallCycles,
+		Counters:     res.Snapshot,
+		Metric:       res.Metric,
+		UsefulInstrs: res.UsefulInstrs,
+		SpinInstrs:   res.SpinInstrs,
+	}, err
 }
 
 // ComputeMetric evaluates the SMT-selection metric (Eq. 1 of the paper,

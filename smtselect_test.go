@@ -2,9 +2,13 @@ package smtselect_test
 
 import (
 	"context"
+	"errors"
+	"sync"
 	"testing"
+	"time"
 
 	smtselect "repro"
+	"repro/internal/cpu"
 )
 
 func TestArchConstructors(t *testing.T) {
@@ -98,6 +102,56 @@ func TestRunWorkloadEndToEnd(t *testing.T) {
 	}
 	if res2.WallCycles != res.WallCycles {
 		t.Fatalf("non-deterministic: %d vs %d", res.WallCycles, res2.WallCycles)
+	}
+}
+
+// cancelAtFirstPoll is a context canceled at the simulator's first context
+// poll. Its Err stays nil until Done is first requested, which only the run
+// loop does, some thousands of simulated cycles in; so a run under it always
+// makes progress before the cut, however slow its setup is.
+type cancelAtFirstPoll struct {
+	once sync.Once
+	done chan struct{}
+}
+
+func (c *cancelAtFirstPoll) Deadline() (time.Time, bool) { return time.Time{}, false }
+
+func (c *cancelAtFirstPoll) Done() <-chan struct{} {
+	c.once.Do(func() { close(c.done) })
+	return c.done
+}
+
+func (c *cancelAtFirstPoll) Err() error {
+	select {
+	case <-c.done:
+		return context.Canceled
+	default:
+		return nil
+	}
+}
+
+func (c *cancelAtFirstPoll) Value(any) any { return nil }
+
+// TestRunWorkloadReturnsPartialResult: a run cut by its context hands back
+// what it measured up to the cut alongside the context's error.
+func TestRunWorkloadReturnsPartialResult(t *testing.T) {
+	m, err := smtselect.NewPOWER7Machine(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := smtselect.Workload("EP")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := smtselect.RunWorkload(&cancelAtFirstPoll{done: make(chan struct{})}, m, spec, 42)
+	if !errors.Is(err, context.Canceled) || !errors.Is(err, cpu.ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
+	}
+	if res.WallCycles <= 0 || res.Counters.Retired == 0 {
+		t.Fatalf("no partial result: wall %d, retired %d", res.WallCycles, res.Counters.Retired)
+	}
+	if !res.Metric.Finite() {
+		t.Fatalf("partial metric not finite: %+v", res.Metric)
 	}
 }
 
