@@ -53,6 +53,13 @@ const (
 	PathVars = "/debug/vars"
 )
 
+// MaxChips bounds the chip count of an /v1/analyze or /v1/place request
+// and of a server's default machine. It is the largest machine the paper
+// evaluates, two POWER7 chips. Each simulated chip costs megabytes of
+// cache arrays, and the placement solver scans every core for every
+// thread, so without a bound one small request could exhaust a shard.
+const MaxChips = 2
+
 // MetricRequest scores a counter snapshot the client measured itself — the
 // PMU-sampling path of an online optimizer. The snapshot should be an
 // interval delta captured at the architecture's maximum SMT level (the only

@@ -3,6 +3,7 @@ package placement
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"slices"
 	"testing"
@@ -24,11 +25,13 @@ const readmePlaceBody = `{
 }`
 
 // FuzzPlaceCanonical feeds arbitrary bodies, decoded as the server decodes
-// a /v1/place request, to Resolve. Whenever one resolves, its canonical
-// bytes — the server's cache and flight key, and the router's shard key —
-// must not move when the workloads are permuted, when the anti-affinity
-// rules are reordered, flipped or repeated, or when every default is
-// spelled out; and its fingerprint must be the hash of those bytes.
+// a /v1/place request, to Resolve. Whenever one resolves, it must solve
+// with zero pair scores (an accepted body the solver cannot handle cheaply
+// stalls or exhausts the fuzzer), and its canonical bytes — the server's
+// cache and flight key, and the router's shard key — must not move when
+// the workloads are permuted, when the anti-affinity rules are reordered,
+// flipped or repeated, or when every default is spelled out; and its
+// fingerprint must be the hash of those bytes.
 func FuzzPlaceCanonical(f *testing.F) {
 	for _, req := range []api.PlaceRequest{testRequest(), permutedRequest()} {
 		b, err := json.Marshal(req)
@@ -38,6 +41,11 @@ func FuzzPlaceCanonical(f *testing.F) {
 		f.Add(b)
 	}
 	f.Add([]byte(readmePlaceBody))
+	// Oversized bodies: Resolve must reject them before solve would
+	// allocate for a hundred million chips or 2^63 thread units.
+	f.Add([]byte(`{"chips":100000000,"workloads":[{"name":"a","bench":"EP"}]}`))
+	f.Add([]byte(`{"workloads":[{"name":"a","bench":"EP","threads":4611686018427387904},` +
+		`{"name":"b","bench":"EP","threads":4611686018427387904}]}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req api.PlaceRequest
 		dec := json.NewDecoder(bytes.NewReader(data))
@@ -48,6 +56,11 @@ func FuzzPlaceCanonical(f *testing.F) {
 		in, err := Resolve(arch.POWER7(), 1, req)
 		if err != nil {
 			return
+		}
+		// Whatever Resolve accepts must be cheap to solve: the request
+		// limits bound the solver's cores and thread units.
+		if _, _, err := solve(in, func(int, int) float64 { return 0 }); err != nil && !errors.Is(err, ErrInfeasible) {
+			t.Fatalf("solve: %v", err)
 		}
 		want, err := in.Canonical()
 		if err != nil {

@@ -88,6 +88,9 @@ func Resolve(d *arch.Desc, defaultChips int, req api.PlaceRequest) (*Input, erro
 	if chips < 1 {
 		return nil, fmt.Errorf("chips %d: need >= 1", req.Chips)
 	}
+	if chips > api.MaxChips {
+		return nil, fmt.Errorf("chips %d: exceeds the limit of %d", chips, api.MaxChips)
+	}
 	if d.MaxSMT < 2 {
 		return nil, fmt.Errorf("architecture %s exposes no SMT (max level %d): nothing to place", d.Name, d.MaxSMT)
 	}
@@ -106,6 +109,11 @@ func Resolve(d *arch.Desc, defaultChips int, req api.PlaceRequest) (*Input, erro
 	}
 
 	in := &Input{Desc: d, Chips: chips, MaxPerCore: maxPerCore, Seed: req.Seed}
+	cores := chips * d.CoresPerChip
+	capacity := func(threads int) error {
+		return fmt.Errorf("capacity: %d threads exceed %d cores × %d threads/core on %d×%s",
+			threads, cores, maxPerCore, chips, d.Name)
+	}
 	seen := make(map[string]bool, len(req.Workloads))
 	total := 0
 	for i, pw := range req.Workloads {
@@ -144,15 +152,18 @@ func Resolve(d *arch.Desc, defaultChips int, req api.PlaceRequest) (*Input, erro
 		default:
 			return nil, fmt.Errorf("workload %q: one of bench or spec is required", pw.Name)
 		}
+		// Checking each workload before summing keeps the total at most
+		// MaxWorkloads × capacity, far from overflowing int.
+		if threads > cores*maxPerCore {
+			return nil, capacity(threads)
+		}
 		total += threads
 		in.Workloads = append(in.Workloads, Workload{Name: pw.Name, Spec: spec, Threads: threads})
 	}
 	sort.Slice(in.Workloads, func(a, b int) bool { return in.Workloads[a].Name < in.Workloads[b].Name })
 
-	cores := chips * d.CoresPerChip
 	if total > cores*maxPerCore {
-		return nil, fmt.Errorf("capacity: %d threads exceed %d cores × %d threads/core on %d×%s",
-			total, cores, maxPerCore, chips, d.Name)
+		return nil, capacity(total)
 	}
 
 	index := make(map[string]int, len(in.Workloads))

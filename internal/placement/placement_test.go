@@ -188,6 +188,13 @@ func TestResolveErrors(t *testing.T) {
 		{"neither bench nor spec", func(r *api.PlaceRequest) { r.Workloads[0].Spec = nil }, "one of bench or spec"},
 		{"negative threads", func(r *api.PlaceRequest) { r.Workloads[0].Threads = -2 }, "threads"},
 		{"capacity", func(r *api.PlaceRequest) { r.Workloads[0].Threads = 1000 }, "capacity"},
+		{"chips over the limit", func(r *api.PlaceRequest) { r.Chips = 100_000_000 }, "exceeds the limit"},
+		// The two counts sum past the largest int; summed unchecked, the
+		// total wraps negative and slips under the capacity bound.
+		{"threads overflowing the total", func(r *api.PlaceRequest) {
+			r.Workloads[0].Threads = 1 << 62
+			r.Workloads[1].Threads = 1 << 62
+		}, "capacity"},
 		{"unknown anti workload", func(r *api.PlaceRequest) {
 			r.AntiAffinity = []api.AffinityRule{{A: "cpu", B: "ghost"}}
 		}, "unknown workload"},

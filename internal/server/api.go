@@ -142,6 +142,10 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "chips %d: need >= 1", req.Chips)
 		return
 	}
+	if chips > api.MaxChips {
+		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "chips %d: exceeds the limit of %d", chips, api.MaxChips)
+		return
+	}
 	var spec *workload.Spec
 	switch {
 	case req.Bench != "" && req.Spec != nil:

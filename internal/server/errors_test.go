@@ -15,6 +15,7 @@ import (
 	"repro/api"
 	"repro/internal/arch"
 	"repro/internal/controller"
+	"repro/internal/placement"
 	"repro/internal/workload"
 )
 
@@ -76,6 +77,25 @@ func checkEnvelope(t *testing.T, status int, header http.Header, body []byte, wa
 	}
 }
 
+// unsimulated posts body to path on a test server whose probe and place
+// stubs fail the test: for requests that must be rejected before any
+// simulation, since the real engine would try to allocate for them.
+func unsimulated(path, body string) func(t *testing.T) (int, http.Header, []byte) {
+	return func(t *testing.T) (int, http.Header, []byte) {
+		s := newTestServer(t, testConfig())
+		s.probe = func(context.Context, *arch.Desc, int, *workload.Spec, uint64) (controller.ProbeResult, error) {
+			t.Fatal("an oversized request reached the probe")
+			return controller.ProbeResult{}, nil
+		}
+		s.place = func(context.Context, *placement.Input) (api.PlaceResponse, error) {
+			t.Fatal("an oversized request reached the placement engine")
+			return api.PlaceResponse{}, nil
+		}
+		w := postRaw(t, s.Handler(), path, body)
+		return w.Code, w.Header(), w.Body.Bytes()
+	}
+}
+
 // TestErrorEnvelopeTable drives every request-level error path and pins
 // its (status, code) pair plus the envelope shape.
 func TestErrorEnvelopeTable(t *testing.T) {
@@ -109,6 +129,8 @@ func TestErrorEnvelopeTable(t *testing.T) {
 			bad("/v1/analyze", `{"bench":"EP","threshold":-2}`)},
 		{"analyze/bad-chips", 400, api.CodeBadRequest, false,
 			bad("/v1/analyze", `{"bench":"EP","chips":-1}`)},
+		{"analyze/too-many-chips", 400, api.CodeBadRequest, false,
+			unsimulated("/v1/analyze", `{"bench":"EP","chips":100000000}`)},
 		{"analyze/unknown-bench", 400, api.CodeBadRequest, false,
 			bad("/v1/analyze", `{"bench":"no-such-bench"}`)},
 		{"analyze/no-workload", 400, api.CodeBadRequest, false,

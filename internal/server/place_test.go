@@ -237,6 +237,11 @@ func TestPlaceErrorEnvelopeTable(t *testing.T) {
 			bad(`{"workloads":[{"name":"a","bench":"no-such-bench"}]}`)},
 		{"over-capacity", 400, api.CodeBadRequest, false,
 			bad(`{"workloads":[{"name":"a","bench":"EP","threads":1000}]}`)},
+		{"too-many-chips", 400, api.CodeBadRequest, false,
+			unsimulated("/v1/place", `{"chips":100000000,"workloads":[{"name":"a","bench":"EP"}]}`)},
+		{"threads-overflowing-the-total", 400, api.CodeBadRequest, false,
+			unsimulated("/v1/place", `{"workloads":[{"name":"a","bench":"EP","threads":4611686018427387904},`+
+				`{"name":"b","bench":"EP","threads":4611686018427387904}]}`)},
 		{"unknown-anti-workload", 400, api.CodeBadRequest, false,
 			bad(`{"workloads":[{"name":"a","bench":"EP"}],"antiAffinity":[{"a":"a","b":"ghost"}]}`)},
 

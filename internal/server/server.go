@@ -132,6 +132,9 @@ func (c Config) validate() error {
 	if c.Chips < 1 {
 		return fmt.Errorf("server: chips %d, need >= 1", c.Chips)
 	}
+	if c.Chips > api.MaxChips {
+		return fmt.Errorf("server: chips %d exceeds the limit of %d", c.Chips, api.MaxChips)
+	}
 	if !(c.Threshold > 0) || math.IsInf(c.Threshold, 0) {
 		return fmt.Errorf("server: threshold %v, need a positive finite value", c.Threshold)
 	}

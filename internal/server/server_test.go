@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/api"
 	"repro/internal/counters"
 	"repro/internal/isa"
 )
@@ -263,6 +264,7 @@ func TestConfigValidation(t *testing.T) {
 		{Threshold: 0.2, QueueDepth: -1},
 		{Threshold: 0.2, RequestTimeout: -time.Second},
 		{Threshold: 0.2, Chips: -1},
+		{Threshold: 0.2, Chips: api.MaxChips + 1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
