@@ -242,7 +242,6 @@ func (q *portQueue) removeAt(i int) {
 type Core struct {
 	arch *arch.Desc
 	chip *Chip
-	id   int // global core index
 
 	contexts []*Context // len = arch.MaxSMT; first smtLevel are active
 	active   int        // current SMT level
@@ -287,11 +286,10 @@ type Core struct {
 	hitsByLevel    [mem.NumLevels]uint64
 }
 
-func newCore(d *arch.Desc, chip *Chip, id int) *Core {
+func newCore(d *arch.Desc, chip *Chip) *Core {
 	c := &Core{
 		arch:         d,
 		chip:         chip,
-		id:           id,
 		ports:        make([]portQueue, d.NumPorts),
 		pred:         branch.New(d.BranchBits, d.MaxSMT),
 		l1:           mem.NewCache(d.Mem.L1Size, d.Mem.L1Ways, d.Mem.LineSize),

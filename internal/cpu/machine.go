@@ -15,7 +15,6 @@ import (
 // channel.
 type Chip struct {
 	machine *Machine
-	id      int
 	cores   []*Core
 	l3      *mem.Cache
 	dram    *mem.DRAM
@@ -72,19 +71,16 @@ func NewMachine(d *arch.Desc, numChips int) (*Machine, error) {
 		return nil, errors.New("cpu: non-positive chip count")
 	}
 	m := &Machine{desc: d, numaPenalty: DefaultNUMAPenalty}
-	coreID := 0
 	for ci := 0; ci < numChips; ci++ {
 		chip := &Chip{
 			machine: m,
-			id:      ci,
 			l3:      mem.NewCache(d.Mem.L3Size, d.Mem.L3Ways, d.Mem.LineSize),
 			dram:    mem.NewDRAM(d.Mem.MemLat, d.Mem.MemCyclesPerLine, d.Mem.MemMaxQueue),
 		}
 		for k := 0; k < d.CoresPerChip; k++ {
-			core := newCore(d, chip, coreID)
+			core := newCore(d, chip)
 			chip.cores = append(chip.cores, core)
 			m.cores = append(m.cores, core)
-			coreID++
 		}
 		m.chips = append(m.chips, chip)
 	}
