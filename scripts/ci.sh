@@ -7,7 +7,7 @@
 #   scripts/ci.sh <stage> [...]    # run the named stages in order
 #
 # Stages:
-#   lint       build + smtlint + vet + gofmt
+#   lint       build + smtlint + vet (with _fleetbench) + gofmt
 #   test       unit & golden tests
 #   bench      compile and run every benchmark once
 #   benchgate  benchmark-trajectory gate (scripts/bench.sh)
@@ -57,6 +57,9 @@ stage_lint() {
 		fail "smtlint found issues (report: $artdir/smtlint.json)"
 	fi
 	go vet ./...
+	# The fleet benchmark is its own module, outside ./...; vet it so a
+	# change that breaks the benchmark's build fails here.
+	(cd _fleetbench && GOFLAGS= GOPROXY=off go vet .)
 	out="$(gofmt -l .)"
 	if [ -n "$out" ]; then
 		echo "gofmt needed on:" >&2
