@@ -40,9 +40,8 @@ func main() {
 		timeout      = flag.Duration("timeout", 30*time.Second, "per-request budget")
 		cacheSize    = flag.Int("cache", 1024, "recommendation-cache entries (negative disables)")
 		cacheTTL     = flag.Duration("cache-ttl", 0, "freshness window for cached recommendations; stale entries are revalidated, and served marked degraded only when revalidation fails (0 = never stale)")
-		brkThresh    = flag.Int("breaker-threshold", 5, "consecutive probe failures that open the probe circuit breaker (negative disables)")
+		brkThresh    = flag.Int("breaker-threshold", 5, "consecutive probe failures that open the probe circuit breaker")
 		brkCooldown  = flag.Duration("breaker-cooldown", 10*time.Second, "open-breaker wait before a half-open trial probe")
-		coalesce     = flag.Duration("coalesce-window", 0, "batch-admission window: identical analyze requests arriving within it share one probe (0 = coalesce in-flight only, negative disables coalescing)")
 		faultsPath   = flag.String("faults", "", "fault-injection schedule JSON for chaos testing (see internal/fault)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight requests on shutdown")
 		quiet        = flag.Bool("quiet", false, "suppress the JSON access log")
@@ -68,7 +67,6 @@ func main() {
 		CacheTTL:         *cacheTTL,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
-		CoalesceWindow:   *coalesce,
 	}
 	if *faultsPath != "" {
 		sched, err := fault.LoadSchedule(*faultsPath)

@@ -7,11 +7,9 @@ import (
 	"math"
 	"net/http"
 	"strings"
-	"time"
 
 	"repro/api"
 	"repro/internal/arch"
-	"repro/internal/controller"
 	"repro/internal/httpx"
 	"repro/internal/smtsm"
 	"repro/internal/workload"
@@ -173,7 +171,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	key := fmt.Sprintf("analyze|%s|%d|%d|%016x|%016x",
 		d.Name, chips, req.Seed, math.Float64bits(th), xrand.HashBytes(specJSON))
 	s.analyzeEP.serve(w, r, key, func(ctx context.Context) (Recommendation, error) {
-		res, err := s.runProbe(ctx, d, chips, spec, req.Seed)
+		s.met.probes.Add(1)
+		res, err := s.probe(ctx, d, chips, spec, req.Seed)
 		if err != nil && res.Snapshot.Retired == 0 {
 			return Recommendation{}, err // nothing to build a partial answer from
 		}
@@ -186,24 +185,4 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		rec.Fingerprint = fmt.Sprintf("%016x", res.Snapshot.Fingerprint())
 		return rec, err
 	})
-}
-
-// runProbe is the analyze computation's probe step: the coalesce window,
-// then the probe itself. The caller holds a worker slot and has passed the
-// breaker gate.
-func (s *Server) runProbe(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
-	if win := s.cfg.CoalesceWindow; win > 0 {
-		// Batch admission: hold the probe back so the rest of a burst can
-		// still join this flight instead of racing it to completion. An
-		// expiring context just falls through — the probe fails fast and
-		// the outcome takes the normal aborted-probe path.
-		t := time.NewTimer(win)
-		select {
-		case <-t.C:
-		case <-ctx.Done():
-		}
-		t.Stop()
-	}
-	s.met.probes.Add(1)
-	return s.probe(ctx, d, chips, spec, seed)
 }

@@ -24,7 +24,7 @@ import (
 // keep seeing "open" until the trial resolves, so one slow recovery probe
 // cannot be trampled by the backlog.
 type breaker struct {
-	threshold int           // consecutive failures to open; <= 0 disables
+	threshold int           // consecutive failures to open
 	cooldown  time.Duration // open → half-open delay
 	now       func() time.Time
 
@@ -52,9 +52,6 @@ func newBreaker(threshold int, cooldown time.Duration) *breaker {
 // allow reports whether a probe may run now. While open it refuses until
 // the cooldown elapses, then admits a single half-open trial.
 func (b *breaker) allow() bool {
-	if b.threshold <= 0 {
-		return true
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {
@@ -75,9 +72,6 @@ func (b *breaker) allow() bool {
 
 // onSuccess records a completed probe: any state collapses back to closed.
 func (b *breaker) onSuccess() {
-	if b.threshold <= 0 {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	b.state = breakerClosed
@@ -88,9 +82,6 @@ func (b *breaker) onSuccess() {
 // immediately, a closed breaker trips once the consecutive-failure count
 // reaches the threshold.
 func (b *breaker) onFailure() {
-	if b.threshold <= 0 {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == breakerHalfOpen {
@@ -112,9 +103,6 @@ func (b *breaker) onFailure() {
 // was inconclusive, so the breaker re-opens and the cooldown restarts; any
 // other state is untouched.
 func (b *breaker) onNeutral() {
-	if b.threshold <= 0 {
-		return
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.state == breakerHalfOpen {
@@ -133,9 +121,6 @@ func (b *breaker) trip() {
 
 // stateName renders the current state for the metrics document.
 func (b *breaker) stateName() string {
-	if b.threshold <= 0 {
-		return "disabled"
-	}
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	switch b.state {

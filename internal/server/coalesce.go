@@ -16,11 +16,6 @@ import (
 // of K identical analyze calls therefore costs exactly one simulation and
 // one worker, which is what lets a shard absorb same-workload stampedes.
 //
-// The batch-admission window (Config.CoalesceWindow) widens the net: a
-// leader that has admission holds the probe back for the window so that a
-// burst spread over a few milliseconds still lands in one flight instead
-// of racing the first probe to completion.
-//
 // Determinism contract: coalescing only changes who computes, never what.
 // The fanned-out Recommendation is the leader's, byte for byte, and the
 // probe itself is the same seeded simulation a solo request would have

@@ -82,7 +82,6 @@ func gatedProbeFunc(calls *atomic.Int64, blockName string, started chan<- struct
 // timeout — while the leader's probe runs to completion and answers 200.
 func TestCoalesceWaiterDeadlineDuringProbe(t *testing.T) {
 	cfg := testConfig()
-	cfg.CoalesceWindow = time.Millisecond
 	s := newTestServer(t, cfg)
 	var calls atomic.Int64
 	started := make(chan struct{}, 1)
@@ -293,10 +292,9 @@ func TestWaitersSeeLeaderSentinels(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				cfg := testConfig()
-				cfg.CoalesceWindow = 50 * time.Millisecond
 				s := newTestServer(t, cfg)
 				var calls atomic.Int64
-				s.probe = countingProbe(&calls, 0)
+				s.probe = countingProbe(&calls)
 				s.place = func(ctx context.Context, in *placement.Input) (api.PlaceResponse, error) {
 					calls.Add(1)
 					return api.PlaceResponse{}, nil
@@ -357,7 +355,6 @@ func TestCoalesceLeaderExpiredInQueueFansOut(t *testing.T) {
 	cfg := testConfig()
 	cfg.Workers = 1
 	cfg.QueueDepth = 4
-	cfg.CoalesceWindow = 50 * time.Millisecond
 	s := newTestServer(t, cfg)
 	var calls atomic.Int64
 	started := make(chan struct{}, 1)

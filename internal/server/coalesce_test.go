@@ -8,16 +8,13 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/api"
 	"repro/internal/arch"
 	"repro/internal/controller"
-	"repro/internal/placement"
 	"repro/internal/smtsm"
 	"repro/internal/workload"
 )
@@ -35,19 +32,10 @@ func coalesceReq() AnalyzeRequest {
 }
 
 // countingProbe returns a probeFunc that counts invocations and fabricates
-// a deterministic result after holding the flight open for hold.
-func countingProbe(calls *atomic.Int64, hold time.Duration) probeFunc {
+// a deterministic result.
+func countingProbe(calls *atomic.Int64) probeFunc {
 	return func(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
 		calls.Add(1)
-		if hold > 0 {
-			t := time.NewTimer(hold)
-			defer t.Stop()
-			select {
-			case <-t.C:
-			case <-ctx.Done():
-				return controller.ProbeResult{}, ctx.Err()
-			}
-		}
 		snap := highMetricSnapshot()
 		return controller.ProbeResult{
 			WallCycles: int64(snap.WallCycles),
@@ -85,16 +73,16 @@ func varInt(t *testing.T, vars map[string]any, key string) int64 {
 	return int64(v)
 }
 
-// TestCoalesceBurstSharesOneProbe is the coalescing proof the issue pins:
-// 64 concurrent identical analyze requests perform exactly one probe, with
-// every request accounted for as the leader, a coalesced waiter or a cache
+// TestCoalesceBurstSharesOneProbe is the coalescing proof: 64 concurrent
+// identical analyze requests perform exactly one probe. The leader's probe
+// blocks until the other 63 have parked on its flight, so every request is
+// accounted for as the leader or a coalesced waiter and none as a cache
 // hit — verified through /debug/vars, under the race detector in CI.
 func TestCoalesceBurstSharesOneProbe(t *testing.T) {
-	cfg := testConfig()
-	cfg.CoalesceWindow = 50 * time.Millisecond
-	s := newTestServer(t, cfg)
+	s := newTestServer(t, testConfig())
 	var calls atomic.Int64
-	s.probe = countingProbe(&calls, 20*time.Millisecond)
+	release := make(chan struct{})
+	s.probe = gatedProbeFunc(&calls, "coalesce", make(chan struct{}, 1), release)
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -128,6 +116,10 @@ func TestCoalesceBurstSharesOneProbe(t *testing.T) {
 			errs[i] = json.Unmarshal(raw, &recs[i])
 		}(i)
 	}
+	waitFor(t, "the burst to park on the leader's flight", func() bool {
+		return s.met.coalesced.Load() == burst-1
+	})
+	close(release)
 	wg.Wait()
 	for i, err := range errs {
 		if err != nil {
@@ -159,14 +151,9 @@ func TestCoalesceBurstSharesOneProbe(t *testing.T) {
 	probes := varInt(t, vars, "probes_total")
 	coalesced := varInt(t, vars, "coalesced_total")
 	hits := varInt(t, vars, "cache_hits")
-	if probes != 1 {
-		t.Fatalf("/debug/vars probes_total = %d, want 1", probes)
-	}
-	// Every request resolves exactly one way: the probing leader, a
-	// coalesced waiter, or a cache hit (first check or leader double-check).
-	if probes+coalesced+hits != burst {
-		t.Fatalf("probes(%d) + coalesced(%d) + cache_hits(%d) = %d, want %d",
-			probes, coalesced, hits, probes+coalesced+hits, burst)
+	if probes != 1 || coalesced != burst-1 || hits != 0 {
+		t.Fatalf("/debug/vars probes_total %d, coalesced_total %d, cache_hits %d; want 1, %d, 0",
+			probes, coalesced, hits, burst-1)
 	}
 	if varInt(t, vars, "flights_in_flight") != 0 {
 		t.Fatal("flights leaked: flights_in_flight != 0 after the burst drained")
@@ -178,15 +165,18 @@ func TestCoalesceBurstSharesOneProbe(t *testing.T) {
 // probe_failed envelope from that single probe instead of probing again.
 func TestCoalesceFanOutError(t *testing.T) {
 	cfg := testConfig()
-	cfg.CoalesceWindow = 50 * time.Millisecond
 	cfg.CacheSize = -1 // no cache: every request must go through the flight
 	s := newTestServer(t, cfg)
 	var calls atomic.Int64
-	probeErr := errors.New("simulator on fire")
+	release := make(chan struct{})
 	s.probe = func(ctx context.Context, d *arch.Desc, chips int, spec *workload.Spec, seed uint64) (controller.ProbeResult, error) {
 		calls.Add(1)
-		time.Sleep(20 * time.Millisecond)
-		return controller.ProbeResult{}, probeErr
+		select {
+		case <-release:
+		case <-ctx.Done():
+			return controller.ProbeResult{}, ctx.Err()
+		}
+		return controller.ProbeResult{}, errors.New("simulator on fire")
 	}
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
@@ -215,90 +205,17 @@ func TestCoalesceFanOutError(t *testing.T) {
 			codes[i] = e.Code
 		}(i)
 	}
+	waitFor(t, "the burst to park on the leader's flight", func() bool {
+		return s.met.coalesced.Load() == burst-1
+	})
+	close(release)
 	wg.Wait()
 	for i := range codes {
 		if statuses[i] != http.StatusInternalServerError || codes[i] != api.CodeProbeFailed {
 			t.Fatalf("request %d: status %d code %q, want 500 %q", i, statuses[i], codes[i], api.CodeProbeFailed)
 		}
 	}
-	// The whole burst shares at most a couple of probes (one per flight
-	// generation); serialized stragglers may start a second flight, but the
-	// coalescing must prevent anything near one probe per request.
-	if got := calls.Load(); got > 2 {
-		t.Fatalf("probe ran %d times for %d identical failing requests, want <= 2", got, burst)
-	}
-}
-
-// TestCoalesceDisabled verifies the negative-window escape hatch: with
-// coalescing off, concurrent identical requests each run their own probe.
-func TestCoalesceDisabled(t *testing.T) {
-	cfg := testConfig()
-	cfg.CoalesceWindow = -1
-	cfg.CacheSize = -1
-	s := newTestServer(t, cfg)
-	var calls atomic.Int64
-	s.probe = countingProbe(&calls, 0)
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	body, err := json.Marshal(coalesceReq())
-	if err != nil {
-		t.Fatal(err)
-	}
-	const n = 4
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/analyze", "application/json", bytes.NewReader(body))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			//lint:ignore errlint draining the body is connection hygiene; the status is the assertion
-			_, _ = io.Copy(io.Discard, resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("status %d", resp.StatusCode)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := calls.Load(); got != n {
-		t.Fatalf("probe ran %d times with coalescing disabled, want %d", got, n)
-	}
-
-	// /v1/place honours the same escape hatch: every identical placement
-	// runs its own co-simulation and none is counted as coalesced.
-	var placements atomic.Int64
-	s.place = func(ctx context.Context, in *placement.Input) (api.PlaceResponse, error) {
-		placements.Add(1)
-		time.Sleep(10 * time.Millisecond) // long enough to overlap the burst
-		return api.PlaceResponse{Arch: in.Desc.Name, Chips: in.Chips}, nil
-	}
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/place", "application/json", strings.NewReader(placeBodyA))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer resp.Body.Close()
-			//lint:ignore errlint draining the body is connection hygiene; the status is the assertion
-			_, _ = io.Copy(io.Discard, resp.Body)
-			if resp.StatusCode != http.StatusOK {
-				t.Errorf("place status %d", resp.StatusCode)
-			}
-		}()
-	}
-	wg.Wait()
-	if got := placements.Load(); got != n {
-		t.Fatalf("placement ran %d times with coalescing disabled, want %d", got, n)
-	}
-	if got := s.met.placeCoalesced.Load(); got != 0 {
-		t.Fatalf("place_coalesced_total = %d with coalescing disabled, want 0", got)
+	if got := calls.Load(); got != 1 {
+		t.Fatalf("probe ran %d times for %d identical failing requests, want 1", got, burst)
 	}
 }

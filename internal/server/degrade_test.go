@@ -110,19 +110,6 @@ func TestBreakerNeutralTrialReopens(t *testing.T) {
 	}
 }
 
-func TestBreakerDisabled(t *testing.T) {
-	b := newBreaker(0, time.Minute)
-	for i := 0; i < 10; i++ {
-		b.onFailure()
-	}
-	if !b.allow() {
-		t.Fatal("disabled breaker refused a probe")
-	}
-	if b.stateName() != "disabled" {
-		t.Fatalf("state %q, want disabled", b.stateName())
-	}
-}
-
 // failingProbe returns a probe stub that always fails with err and counts
 // its calls on calls.
 func failingProbe(err error, calls *int) probeFunc {

@@ -19,7 +19,7 @@ import (
 //	cache lookup ──(fresh)──▶ 200, cached
 //	  │ miss or stale
 //	flight join ──(waiter)──▶ park on the leader's outcome
-//	  │ leader, or coalescing disabled
+//	  │ leader
 //	cache double-check → admission → breaker gate → computation
 //	  → breaker-outcome classification → cache fill
 //	  │
@@ -77,7 +77,7 @@ func (e *endpoint[R]) serve(w http.ResponseWriter, r *http.Request, key string, 
 	if found {
 		stale = &v
 	}
-	if e.flights == nil || e.s.cfg.CoalesceWindow < 0 {
+	if e.flights == nil {
 		// No flight to share: this request computes for itself.
 		out, err := e.run(ctx, key, compute)
 		e.reply(w, out, err, stale)

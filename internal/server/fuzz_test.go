@@ -27,7 +27,7 @@ func FuzzEndpoints(f *testing.F) {
 		f.Fatal(err)
 	}
 	var calls atomic.Int64
-	s.probe = countingProbe(&calls, 0)
+	s.probe = countingProbe(&calls)
 	s.place = func(ctx context.Context, in *placement.Input) (api.PlaceResponse, error) {
 		fp, err := in.Fingerprint()
 		if err != nil {

@@ -95,11 +95,10 @@ func (s *Server) vars() map[string]any {
 		"stale_served_total":   s.met.staleServed.Load(),
 		"partial_served_total": s.met.partialServed.Load(),
 
-		"flights_total":           s.met.flights.Load(),
-		"probes_total":            s.met.probes.Load(),
-		"coalesced_total":         s.met.coalesced.Load(),
-		"flights_in_flight":       s.flights.inFlight(),
-		"coalesce_window_seconds": s.cfg.CoalesceWindow.Seconds(),
+		"flights_total":     s.met.flights.Load(),
+		"probes_total":      s.met.probes.Load(),
+		"coalesced_total":   s.met.coalesced.Load(),
+		"flights_in_flight": s.flights.inFlight(),
 
 		"placements_total":        s.met.placements.Load(),
 		"place_coalesced_total":   s.met.placeCoalesced.Load(),

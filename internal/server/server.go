@@ -69,19 +69,11 @@ type Config struct {
 	// go stale, the pre-degradation behaviour).
 	CacheTTL time.Duration
 	// BreakerThreshold is the number of consecutive probe failures that
-	// opens the probe circuit breaker (0 = 5; negative disables the
-	// breaker).
+	// opens the probe circuit breaker (0 = 5).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open breaker waits before admitting a
 	// half-open trial probe (0 = 10s).
 	BreakerCooldown time.Duration
-	// CoalesceWindow is how long the leader of an analyze probe flight holds
-	// the simulation back, so a burst of identical requests spread over the
-	// window still coalesces onto one probe. 0 keeps coalescing for
-	// requests that are already in flight without delaying the leader;
-	// negative disables coalescing entirely (every request probes for
-	// itself).
-	CoalesceWindow time.Duration
 	// Faults optionally injects scheduled faults into the probe and cache
 	// paths for chaos testing (nil = no injection; see internal/fault).
 	Faults *fault.Injector
@@ -115,9 +107,6 @@ func (c Config) withDefaults() Config {
 	if c.BreakerThreshold == 0 {
 		c.BreakerThreshold = 5
 	}
-	if c.BreakerThreshold < 0 {
-		c.BreakerThreshold = 0 // disabled
-	}
 	if c.BreakerCooldown == 0 {
 		c.BreakerCooldown = 10 * time.Second
 	}
@@ -149,6 +138,9 @@ func (c Config) validate() error {
 	}
 	if c.CacheTTL < 0 {
 		return fmt.Errorf("server: negative cache TTL %v", c.CacheTTL)
+	}
+	if c.BreakerThreshold < 0 {
+		return fmt.Errorf("server: negative breaker threshold %d", c.BreakerThreshold)
 	}
 	if c.BreakerCooldown < 0 {
 		return fmt.Errorf("server: negative breaker cooldown %v", c.BreakerCooldown)

@@ -265,6 +265,7 @@ func TestConfigValidation(t *testing.T) {
 		{Threshold: 0.2, RequestTimeout: -time.Second},
 		{Threshold: 0.2, Chips: -1},
 		{Threshold: 0.2, Chips: api.MaxChips + 1},
+		{Threshold: 0.2, BreakerThreshold: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := New(cfg); err == nil {
