@@ -232,16 +232,6 @@ func (m *Matrix) Speedup(ctx context.Context, bench string, smtHigh, smtLow int)
 	return float64(lo.Wall) / float64(hi.Wall)
 }
 
-// Prefetch computes the given cells using up to workers goroutines
-// (defaulting to GOMAXPROCS). It is a convenience wrapper around
-// (*Runner).Sweep with no timeout or progress reporting; the error is
-// ctx.Err() when the prefetch was cut short.
-func (m *Matrix) Prefetch(ctx context.Context, benches []string, smts []int, workers int) error {
-	r := Runner{Workers: workers}
-	_, err := r.Sweep(ctx, m, benches, smts)
-	return err
-}
-
 // Benchmark lists, per figure, transcribed from the paper's figure labels.
 var (
 	// P7Benchmarks is the single-chip POWER7 set (Figs. 2, 6, 8, 9).

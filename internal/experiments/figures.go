@@ -309,34 +309,6 @@ func Fig17(ctx context.Context, m *Matrix) (threshold.PPIResult, error) {
 	return threshold.PPISearch(figPoints(Fig6(ctx, m)))
 }
 
-// Figure computes the dataset behind one of the metric-vs-speedup scatter
-// figures by number ("6", "8"-"15"). Special-format figures (1, 2, 7, 16,
-// 17) have their own dataset types and are not dispatched here.
-func Figure(ctx context.Context, fig string, m *Matrix) (FigResult, error) {
-	switch fig {
-	case "6":
-		return Fig6(ctx, m), nil
-	case "8":
-		return Fig8(ctx, m), nil
-	case "9":
-		return Fig9(ctx, m), nil
-	case "10":
-		return Fig10(ctx, m), nil
-	case "11":
-		return Fig11(ctx, m), nil
-	case "12":
-		return Fig12(ctx, m), nil
-	case "13":
-		return Fig13(ctx, m), nil
-	case "14":
-		return Fig14(ctx, m), nil
-	case "15":
-		return Fig15(ctx, m), nil
-	default:
-		return FigResult{}, fmt.Errorf("experiments: no scatter figure %q", fig)
-	}
-}
-
 // figPoints converts figure points to threshold observations.
 func figPoints(r FigResult) []threshold.Point {
 	pts := make([]threshold.Point, 0, len(r.Points))
