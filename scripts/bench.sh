@@ -45,12 +45,14 @@ if [ "$mode" = ab ]; then
 	re=${3:?usage: scripts/bench.sh ab <rev> <bench-regex> [pairs]}
 	pairs=${4:-10}
 	# The package is the one directory whose tests define a top-level
-	# benchmark matching the regex's first path segment.
-	top=$(printf '%s' "$re" | sed -e 's,/.*,,' -e 's/^\^//' -e 's/\$$//')
-	pkgs=$(grep -rlE "^func ${top}[A-Za-z0-9_]*\(b \*testing\.B\)" --include='*_test.go' . |
+	# benchmark matching the regex's first path segment. The segment is
+	# grouped, with the anchors around each top-level '|' dropped, so every
+	# alternative is looked up, not only the last.
+	top=$(printf '%s' "$re" | sed -e 's,/.*,,' -e 's/^\^//' -e 's/\$$//' -e 's/\$|/|/g' -e 's/|\^/|/g')
+	pkgs=$(grep -rlE "^func (${top})[A-Za-z0-9_]*\(b \*testing\.B\)" --include='*_test.go' . |
 		xargs -r -n1 dirname | sort -u)
 	if [ -z "$pkgs" ] || [ "$(printf '%s\n' "$pkgs" | wc -l)" -ne 1 ]; then
-		echo "bench.sh ab: '$re' must match benchmarks of exactly one package (found: ${pkgs:-none})" >&2
+		echo "bench.sh ab: '$re' must match benchmarks of exactly one package (found: $(printf '%s' "${pkgs:-none}" | tr '\n' ' '))" >&2
 		exit 2
 	fi
 	root=$(pwd)
