@@ -1,12 +1,54 @@
 package router
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http/httptest"
 	"slices"
 	"testing"
 
 	"repro/api"
+	"repro/internal/httpx"
 )
+
+// FuzzAnalyzeRouteKey feeds arbitrary bodies, decoded strictly as the
+// router's /v1/analyze handler decodes them, to the analyze shard-key
+// derivation. It must never panic, and the key must not move when a
+// decoded request is re-encoded and decoded again, so a repeat of a
+// request always reaches the same shard. The seed corpus lives in
+// testdata/fuzz/FuzzAnalyzeRouteKey.
+func FuzzAnalyzeRouteKey(f *testing.F) {
+	decode := func(body []byte) (api.AnalyzeRequest, error) {
+		var req api.AnalyzeRequest
+		err := httpx.DecodeJSON(httptest.NewRequest("POST", "/v1/analyze", bytes.NewReader(body)), &req)
+		return req, err
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		req, err := decode(data)
+		if err != nil {
+			return
+		}
+		key, err := analyzeRouteKey(req)
+		if err != nil {
+			t.Fatalf("decoded request failed to key: %v", err)
+		}
+		raw, err := json.Marshal(req)
+		if err != nil {
+			t.Fatalf("re-encoding a decoded request: %v", err)
+		}
+		again, err := decode(raw)
+		if err != nil {
+			t.Fatalf("re-encoded request %s no longer decodes: %v", raw, err)
+		}
+		got, err := analyzeRouteKey(again)
+		if err != nil {
+			t.Fatalf("re-decoded request failed to key: %v", err)
+		}
+		if got != key {
+			t.Fatalf("re-encoding %s moved the key: %016x -> %016x", raw, key, got)
+		}
+	})
+}
 
 // FuzzPlaceRouteKey feeds arbitrary JSON, decoded as a placement request,
 // to the /v1/place shard-key derivation. It must never panic, and the key

@@ -261,22 +261,20 @@ func (rt *Router) handleMetric(w http.ResponseWriter, r *http.Request) {
 		})
 }
 
-// handleAnalyze routes POST /v1/analyze by the hash of the canonical
-// (re-marshalled) request, which covers the workload identity plus every
-// probe parameter — the same composite the shard's cache key is built
-// from, so identical analyze calls coalesce on one shard's flight group.
+// handleAnalyze routes POST /v1/analyze by analyzeRouteKey, so identical
+// analyze calls coalesce on one shard's flight group.
 func (rt *Router) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	var req api.AnalyzeRequest
 	if err := httpx.DecodeJSON(r, &req); err != nil {
 		httpx.WriteError(w, http.StatusBadRequest, api.CodeBadRequest, "bad analyze request: %v", err)
 		return
 	}
-	canonical, err := json.Marshal(req)
+	key, err := analyzeRouteKey(req)
 	if err != nil {
 		httpx.WriteError(w, http.StatusInternalServerError, api.CodeInternal, "canonicalising request: %v", err)
 		return
 	}
-	rt.forward(r.Context(), w, xrand.HashBytes(canonical),
+	rt.forward(r.Context(), w, key,
 		func(ctx context.Context, c *client.Client) (any, bool, error) {
 			rec, err := c.Analyze(ctx, req)
 			return rec, rec.Degraded, err
@@ -304,6 +302,17 @@ func (rt *Router) handlePlace(w http.ResponseWriter, r *http.Request) {
 			resp, err := c.Place(ctx, req)
 			return resp, resp.Degraded, err
 		})
+}
+
+// analyzeRouteKey is the shard key of an analyze request: the hash of req
+// re-marshalled, which covers the workload identity plus every probe
+// parameter — the same composite the shard's cache key is built from.
+func analyzeRouteKey(req api.AnalyzeRequest) (uint64, error) {
+	b, err := json.Marshal(req)
+	if err != nil {
+		return 0, err
+	}
+	return xrand.HashBytes(b), nil
 }
 
 // placeRouteKey is the shard key of a placement request: the hash of a
