@@ -55,6 +55,7 @@ func runWithEngine(t *testing.T, eng Engine, d *arch.Desc, chips, smt int, srcs 
 	if rerr != nil {
 		res.err = rerr.Error()
 	}
+	checkConservation(t, d, res.snap, rerr == nil)
 	return res
 }
 
@@ -190,12 +191,15 @@ func TestEngineEquivalenceIntervals(t *testing.T) {
 			t.Fatal(err)
 		}
 		srcs := inst.Sources()
+		var prev counters.Snapshot
 		for interval := 0; interval < 2; interval++ {
 			wall, rerr := m.RunContext(context.Background(), srcs, 250_000)
 			res := engineResult{wall: wall, snap: m.Counters(), now: m.Now()}
 			if rerr != nil {
 				res.err = rerr.Error()
 			}
+			checkConservation(t, d, res.snap.Delta(&prev), rerr == nil)
+			prev = res.snap
 			results = append(results, res)
 		}
 	}

@@ -66,9 +66,11 @@ func TestPoolIdentity(t *testing.T) {
 	if wallP != wallF {
 		t.Fatalf("wall cycles diverge: pooled %d, fresh %d", wallP, wallF)
 	}
-	if sp, sf := pooled.Counters(), fresh.Counters(); !reflect.DeepEqual(sp, sf) {
+	sp, sf := pooled.Counters(), fresh.Counters()
+	if !reflect.DeepEqual(sp, sf) {
 		t.Fatalf("counters diverge:\npooled: %+v\nfresh:  %+v", sp, sf)
 	}
+	checkConservation(t, d, sp, true)
 
 	st := p.Stats()
 	if st.Hits != 1 || st.Misses != 1 || st.Puts != 1 {
