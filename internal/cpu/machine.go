@@ -170,6 +170,7 @@ func (m *Machine) Reset() {
 		for _, core := range chip.cores {
 			core.resetState()
 			core.used = 0
+			core.refreshRR()
 			for _, ctx := range core.contexts {
 				ctx.reset(nil)
 				ctx.busyCycles = 0
@@ -291,6 +292,7 @@ func (m *Machine) RunContext(ctx context.Context, sources []isa.Source, maxCycle
 		for ci := core.active; ci < len(core.contexts); ci++ {
 			core.contexts[ci].reset(nil)
 		}
+		core.refreshRR()
 	}
 
 	deadline := m.now + maxCycles
