@@ -285,8 +285,12 @@ func (t *Thread) emitSpin(out *isa.Inst) {
 	t.SpinInstrs++
 }
 
-// Fetch implements isa.Source.
+// Fetch implements isa.Source. The compute mode, where a thread spends
+// nearly every fetch, is tested before the mode loop.
 func (t *Thread) Fetch(now int64, out *isa.Inst) isa.FetchStatus {
+	if t.mode == modeCompute {
+		return t.compute(out)
+	}
 	for {
 		switch t.mode {
 		case modeNextSegment:
@@ -337,13 +341,7 @@ func (t *Thread) Fetch(now int64, out *isa.Inst) isa.FetchStatus {
 			}
 
 		case modeCompute:
-			t.seg.Gen.Gen(out)
-			t.left--
-			t.UsefulInstrs++
-			if t.left == 0 {
-				t.mode = modeNextSegment
-			}
-			return isa.FetchOK
+			return t.compute(out)
 
 		case modeSpinLock:
 			if t.rt.tryAcquire(t.seg.Lock, t.ID, &t.lockQueued) {
@@ -396,6 +394,17 @@ func (t *Thread) Fetch(now int64, out *isa.Inst) isa.FetchStatus {
 			panic("sched: corrupt thread mode")
 		}
 	}
+}
+
+// compute emits the next instruction of the current compute segment.
+func (t *Thread) compute(out *isa.Inst) isa.FetchStatus {
+	t.seg.Gen.Gen(out)
+	t.left--
+	t.UsefulInstrs++
+	if t.left == 0 {
+		t.mode = modeNextSegment
+	}
+	return isa.FetchOK
 }
 
 // farFuture is the wake hint of a thread that can only be woken by another

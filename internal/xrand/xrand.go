@@ -112,6 +112,28 @@ func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
+// Threshold returns the integer threshold k at which r.Below(k) answers
+// exactly as r.Float64() < p does, on the same draw. Float64 is
+// (Uint64()>>11)/2^53, and for an integer x, x/2^53 < p holds exactly when
+// x < ceil(p·2^53); scaling p by 2^53 is exact, so no rounding enters. A p
+// of at most 0 (or NaN) gives 0, which no draw is below, and a p of at
+// least 1 gives 2^53, which every draw is below.
+func Threshold(p float64) uint64 {
+	switch {
+	case !(p > 0):
+		return 0
+	case p >= 1:
+		return 1 << 53
+	}
+	return uint64(math.Ceil(p * (1 << 53)))
+}
+
+// Below consumes one draw and reports whether its top 53 bits are below
+// k: with k = Threshold(p), the integer form of Float64() < p.
+func (r *Rand) Below(k uint64) bool {
+	return r.Uint64()>>11 < k
+}
+
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {

@@ -221,3 +221,22 @@ func TestHashBytesMatchesHashString(t *testing.T) {
 		}
 	}
 }
+
+// TestBelowMatchesFloat64 pins Float64 to (Uint64()>>11)/2^53, the form
+// Threshold's exactness rests on, and checks that Below(Threshold(p))
+// answers as Float64() < p on the same draws.
+func TestBelowMatchesFloat64(t *testing.T) {
+	for _, p := range []float64{0, 1e-9, 0.01, 0.3, 0.5, 1.0 / 3, 0.99, 1} {
+		a, b, c := New(42), New(42), New(42)
+		k := Threshold(p)
+		for i := 0; i < 4096; i++ {
+			f := a.Float64()
+			if want := float64(b.Uint64()>>11) / (1 << 53); f != want {
+				t.Fatalf("draw %d: Float64 %v, want (Uint64()>>11)/2^53 = %v", i, f, want)
+			}
+			if got := c.Below(k); got != (f < p) {
+				t.Fatalf("p %v draw %d: Below(%d) = %v, Float64() < p = %v", p, i, k, got, f < p)
+			}
+		}
+	}
+}
