@@ -137,6 +137,8 @@ func TestErrorEnvelopeTable(t *testing.T) {
 			bad("/v1/analyze", `{}`)},
 		{"analyze/bench-and-spec", 400, api.CodeBadRequest, false,
 			bad("/v1/analyze", `{"bench":"EP","spec":{"name":"x","mix":{"int":1},"chains":1,"workingSetKB":1,"totalWork":1000,"iterLen":100}}`)},
+		{"analyze/unknown-spec-field", 400, api.CodeBadRequest, false,
+			unsimulated("/v1/analyze", `{"spec":{"name":"x","mix":{"int":1},"chains":1,"workingSetKB":1,"totalWork":1000,"iterLen":100,"lockEvry":2}}`)},
 
 		{"analyze/probe-failed", 500, api.CodeProbeFailed, false,
 			func(t *testing.T) (int, http.Header, []byte) {

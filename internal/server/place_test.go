@@ -235,6 +235,9 @@ func TestPlaceErrorEnvelopeTable(t *testing.T) {
 			bad(`{"workloads":[{"name":"a","bench":"EP","spec":` + placeSpecCPU + `}]}`)},
 		{"unknown-bench", 400, api.CodeBadRequest, false,
 			bad(`{"workloads":[{"name":"a","bench":"no-such-bench"}]}`)},
+		{"unknown-spec-field", 400, api.CodeBadRequest, false,
+			unsimulated("/v1/place", `{"workloads":[{"name":"a","spec":{"name":"x","mix":{"int":1,"flops":3},`+
+				`"chains":1,"workingSetKB":1,"totalWork":1000,"iterLen":100}}]}`)},
 		{"over-capacity", 400, api.CodeBadRequest, false,
 			bad(`{"workloads":[{"name":"a","bench":"EP","threads":1000}]}`)},
 		{"too-many-chips", 400, api.CodeBadRequest, false,

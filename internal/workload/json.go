@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -100,10 +101,13 @@ func (s *Spec) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON implements json.Unmarshaler for Spec; the result is
-// validated.
+// validated. An unknown field, at the top level or inside "mix", is an
+// error, so a misspelled knob fails loudly instead of leaving its default.
 func (s *Spec) UnmarshalJSON(data []byte) error {
 	var j specJSON
-	if err := json.Unmarshal(data, &j); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(data))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&j); err != nil {
 		return fmt.Errorf("workload: %w", err)
 	}
 	lockKind, err := kindFromString(j.LockKind)

@@ -31,6 +31,19 @@ func TestSpecJSONValidation(t *testing.T) {
 	}
 }
 
+func TestSpecJSONUnknownFields(t *testing.T) {
+	for _, body := range []string{
+		`{"name":"x","mix":{"int":1},"chains":1,"workingSetKB":1,"totalWork":1000,"iterLen":100,"lockEvry":2}`,
+		`{"name":"x","mix":{"int":1,"flops":3},"chains":1,"workingSetKB":1,"totalWork":1000,"iterLen":100}`,
+	} {
+		var s Spec
+		err := json.Unmarshal([]byte(body), &s)
+		if err == nil || !strings.Contains(err.Error(), "unknown field") {
+			t.Errorf("%s: err = %v, want an unknown-field error", body, err)
+		}
+	}
+}
+
 func TestSpecJSONLockKinds(t *testing.T) {
 	base := `{"name":"x","mix":{"int":1},"chains":1,"workingSetKB":1,
 	          "totalWork":1000,"iterLen":100,"lockEvery":2,"critLen":10,"lockKind":%q}`
