@@ -93,16 +93,9 @@ func solvePlace(ctx context.Context, url string, req api.PlaceRequest) (api.Plac
 	if name == "" {
 		name = "power7"
 	}
-	var d *arch.Desc
-	switch strings.ToLower(name) {
-	case "power7", "p7":
-		d = arch.POWER7()
-	case "nehalem", "i7":
-		d = arch.Nehalem()
-	case "smt8", "genericsmt8":
-		d = arch.GenericSMT8()
-	default:
-		return api.PlaceResponse{}, fmt.Errorf("unknown architecture %q (want power7, nehalem or smt8)", name)
+	d, err := arch.ByName(name)
+	if err != nil {
+		return api.PlaceResponse{}, err
 	}
 	defaultChips := 1
 	in, err := placement.Resolve(d, defaultChips, req)

@@ -17,6 +17,7 @@ package arch
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/isa"
 )
@@ -259,6 +260,21 @@ const (
 	P7PortBR
 	p7NumPorts
 )
+
+// ByName returns the architecture a request or flag names, matched without
+// regard to case: "power7" (or "p7"), "nehalem" (or "i7") and "smt8" (or
+// "genericsmt8").
+func ByName(name string) (*Desc, error) {
+	switch strings.ToLower(name) {
+	case "power7", "p7":
+		return POWER7(), nil
+	case "nehalem", "i7":
+		return Nehalem(), nil
+	case "smt8", "genericsmt8":
+		return GenericSMT8(), nil
+	}
+	return nil, fmt.Errorf("unknown architecture %q (want power7, nehalem or smt8)", name)
+}
 
 // POWER7 returns the POWER7-like architecture model: 8 cores, SMT1/2/4,
 // eight-wide fetch, six-wide dispatch, and the Fig. 4 issue ports. The ideal

@@ -28,7 +28,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"strings"
 	"sync/atomic"
 	"time"
 
@@ -277,16 +276,11 @@ func (s *Server) Draining() bool { return s.draining.Load() }
 
 // resolveArch maps a request/config architecture name to its description.
 func resolveArch(name string) (*arch.Desc, error) {
-	switch strings.ToLower(name) {
-	case "power7", "p7":
-		return arch.POWER7(), nil
-	case "nehalem", "i7":
-		return arch.Nehalem(), nil
-	case "smt8", "genericsmt8":
-		return arch.GenericSMT8(), nil
-	default:
-		return nil, fmt.Errorf("server: unknown architecture %q (want power7, nehalem or smt8)", name)
+	d, err := arch.ByName(name)
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
+	return d, nil
 }
 
 // handleHealthz answers liveness probes; a draining server reports 503 so
