@@ -7,6 +7,27 @@ import (
 	"repro/internal/isa"
 )
 
+// TestByName pins the architecture names requests and flags may use,
+// matched without regard to case, and the error for any other name.
+func TestByName(t *testing.T) {
+	for name, want := range map[string]string{
+		"power7": "POWER7", "P7": "POWER7",
+		"nehalem": "Nehalem", "i7": "Nehalem",
+		"smt8": GenericSMT8().Name, "GenericSMT8": GenericSMT8().Name,
+	} {
+		d, err := ByName(name)
+		if err != nil || d.Name != want {
+			t.Errorf("ByName(%q) = %v, %v; want %s", name, d, err, want)
+		}
+	}
+	for _, name := range []string{"", "z80", "corei7"} {
+		_, err := ByName(name)
+		if want := `unknown architecture "` + name + `" (want power7, nehalem or smt8)`; err == nil || err.Error() != want {
+			t.Errorf("ByName(%q) error %v, want %q", name, err, want)
+		}
+	}
+}
+
 func TestPOWER7Valid(t *testing.T) {
 	if err := POWER7().Validate(); err != nil {
 		t.Fatal(err)
