@@ -16,17 +16,15 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"strings"
 	"syscall"
 	"time"
 
-	"repro/internal/fault"
+	"repro/internal/httpx"
 	"repro/internal/router"
 )
 
@@ -59,6 +57,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	faults, err := httpx.LoadFaults(os.Stderr, "smtrouter", *faultsPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "smtrouter: %v\n", err)
+		os.Exit(2)
+	}
 	cfg := router.Config{
 		Shards:         splitShards(*shards),
 		Replicas:       *replicas,
@@ -68,16 +71,7 @@ func main() {
 		HopTimeout:     *hopTimeout,
 		HopAttempts:    *hopAttempts,
 		ShardCooldown:  *cooldown,
-	}
-	if *faultsPath != "" {
-		sched, err := fault.LoadSchedule(*faultsPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smtrouter: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = fault.NewInjector(sched)
-		fmt.Fprintf(os.Stderr, "smtrouter: CHAOS MODE: injecting faults from %s (seed %d, %d rules)\n",
-			*faultsPath, sched.Seed, len(sched.Rules))
+		Faults:         faults,
 	}
 	if !*quiet {
 		cfg.AccessLog = os.Stdout
@@ -88,7 +82,13 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := run(rt, *addr, cfg.Shards, *drainTimeout); err != nil {
+	// The shell drains on the signal and never exits the process, so
+	// every exit stays here in main.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err = rt.Serve(ctx, os.Stderr, "smtrouter", *addr,
+		fmt.Sprintf("routing on %s over %d shards (%s)", *addr, len(cfg.Shards), strings.Join(cfg.Shards, ", ")), *drainTimeout)
+	stop()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "smtrouter: %v\n", err)
 		os.Exit(1)
 	}
@@ -104,42 +104,4 @@ func splitShards(s string) []string {
 		}
 	}
 	return out
-}
-
-// run serves until a terminating signal or listener failure, then drains.
-// It owns every defer of the daemon's lifetime, so main can os.Exit on its
-// error without skipping cleanup (exitlint enforces this split).
-func run(rt *router.Router, addr string, shards []string, drainTimeout time.Duration) error {
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           rt.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "smtrouter: routing on %s over %d shards (%s)\n",
-		addr, len(shards), strings.Join(shards, ", "))
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-
-	fmt.Fprintln(os.Stderr, "smtrouter: signal received, draining ...")
-	rt.BeginDrain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("drain incomplete: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "smtrouter: drained, bye")
-	return nil
 }

@@ -16,16 +16,14 @@ package main
 
 import (
 	"context"
-	"errors"
 	"flag"
 	"fmt"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
-	"repro/internal/fault"
+	"repro/internal/httpx"
 	"repro/internal/server"
 )
 
@@ -56,6 +54,11 @@ func main() {
 		os.Exit(2)
 	}
 
+	faults, err := httpx.LoadFaults(os.Stderr, "smtservd", *faultsPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "smtservd: %v\n", err)
+		os.Exit(2)
+	}
 	cfg := server.Config{
 		Arch:             *archName,
 		Chips:            *chips,
@@ -67,16 +70,7 @@ func main() {
 		CacheTTL:         *cacheTTL,
 		BreakerThreshold: *brkThresh,
 		BreakerCooldown:  *brkCooldown,
-	}
-	if *faultsPath != "" {
-		sched, err := fault.LoadSchedule(*faultsPath)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "smtservd: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.Faults = fault.NewInjector(sched)
-		fmt.Fprintf(os.Stderr, "smtservd: CHAOS MODE: injecting faults from %s (seed %d, %d rules)\n",
-			*faultsPath, sched.Seed, len(sched.Rules))
+		Faults:           faults,
 	}
 	if !*quiet {
 		cfg.AccessLog = os.Stdout
@@ -87,47 +81,14 @@ func main() {
 		os.Exit(2)
 	}
 
-	if err := run(srv, *addr, *archName, *thresh, *drainTimeout); err != nil {
+	// The shell drains on the signal and never exits the process, so
+	// every exit stays here in main.
+	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
+	err = srv.Serve(ctx, os.Stderr, "smtservd", *addr,
+		fmt.Sprintf("serving on %s (arch=%s threshold=%g)", *addr, *archName, *thresh), *drainTimeout)
+	stop()
+	if err != nil {
 		fmt.Fprintf(os.Stderr, "smtservd: %v\n", err)
 		os.Exit(1)
 	}
-}
-
-// run serves until a terminating signal or listener failure, then drains.
-// It owns every defer of the daemon's lifetime, so main can os.Exit on its
-// error without skipping cleanup (exitlint enforces this split).
-func run(srv *server.Server, addr, archName string, thresh float64, drainTimeout time.Duration) error {
-	httpSrv := &http.Server{
-		Addr:              addr,
-		Handler:           srv.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
-	defer stop()
-
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- httpSrv.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "smtservd: serving on %s (arch=%s threshold=%g)\n",
-		addr, archName, thresh)
-
-	select {
-	case err := <-serveErr:
-		return err
-	case <-ctx.Done():
-	}
-
-	// Drain: stop advertising health, let in-flight requests finish.
-	fmt.Fprintln(os.Stderr, "smtservd: signal received, draining ...")
-	srv.BeginDrain()
-	shutdownCtx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-	defer cancel()
-	if err := httpSrv.Shutdown(shutdownCtx); err != nil {
-		return fmt.Errorf("drain incomplete: %w", err)
-	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return err
-	}
-	fmt.Fprintln(os.Stderr, "smtservd: drained, bye")
-	return nil
 }

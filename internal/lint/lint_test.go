@@ -226,6 +226,41 @@ func TestVarslintSuppression(t *testing.T) {
 	}
 }
 
+// TestVarslintIdentityThroughShell: the daemon shell (internal/httpx)
+// merges its keys into every daemon's document, so a daemon's identity may
+// name a counter only the shell exports — and stops resolving when the
+// shell drops it.
+func TestVarslintIdentityThroughShell(t *testing.T) {
+	const design = "<!-- varslint:counters:begin -->\n" +
+		"| `requests_total` | internal/httpx | requests finished |\n" +
+		"| `probes_total` | internal/server | probes executed |\n\n" +
+		"identity (internal/server): `probes_total` == `requests_total`\n" +
+		"<!-- varslint:counters:end -->\n"
+	lintWith := func(dirs map[string]string) []lint.Diagnostic {
+		fset := token.NewFileSet()
+		var pkgs []*lint.Package
+		for dir, rel := range dirs {
+			pkg, err := lint.LoadDir(fset, dir, rel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pkgs = append(pkgs, pkg)
+		}
+		m := lint.Fixture(fset, map[string][]byte{"DESIGN.md": []byte(design)}, pkgs...)
+		return lint.Run(m, []*lint.Analyzer{lint.Varslint}).Diagnostics
+	}
+	if diags := lintWith(map[string]string{
+		"testdata/varslint_daemon": "internal/server",
+		"testdata/varslint_shell":  "internal/httpx",
+	}); len(diags) != 0 {
+		t.Errorf("identity through the shell: unexpected diagnostics %v", diags)
+	}
+	diags := lintWith(map[string]string{"testdata/varslint_daemon": "internal/server"})
+	if len(diags) != 1 || !strings.Contains(diags[0].Message, `references "requests_total"`) {
+		t.Errorf("identity without the shell: got %v, want one finding naming requests_total", diags)
+	}
+}
+
 // TestVarslintNoTable: a DESIGN.md without the marked counter table is
 // itself a finding — the documentation half of the identity is mandatory.
 func TestVarslintNoTable(t *testing.T) {

@@ -14,15 +14,17 @@ import (
 // that documents it.
 //
 //   - every atomic.Uint64 struct field that is incremented (.Add) in
-//     internal/server or internal/router must be exported on /debug/vars
-//     exactly once — a counter that counts but never surfaces is a blind
-//     spot, and one surfaced twice is an ambiguity;
+//     internal/server, internal/router or their shared daemon shell
+//     internal/httpx must be exported on /debug/vars exactly once, in the
+//     package that increments it — a counter that counts but never
+//     surfaces is a blind spot, and one surfaced twice is an ambiguity;
 //   - every exported counter name must appear in the DESIGN.md counter
 //     table (between the varslint:counters markers);
 //   - the identity families declared in DESIGN.md (such as
 //     probes_total + coalesced_total + cache_hits == requests_total) are
-//     cross-referenced by name: an identity naming a var that the package
-//     does not export is a stale contract.
+//     cross-referenced by name: an identity naming a var that neither the
+//     package nor the shell (which merges its keys into every daemon's
+//     document) exports is a stale contract.
 //
 // Export binding is deliberately direct: a vars entry counts as exporting
 // a field when its value is `field.Load()` or a local assigned straight
@@ -34,8 +36,13 @@ var Varslint = &Analyzer{
 	Run:  runVarslint,
 }
 
-// varsScope lists the packages that publish a /debug/vars document.
-var varsScope = map[string]bool{"internal/server": true, "internal/router": true}
+// varsScope lists the packages that publish a /debug/vars document or,
+// for the shell, a fragment of every daemon's document.
+var varsScope = map[string]bool{"internal/server": true, "internal/router": true, shellPkg: true}
+
+// shellPkg is the daemon shell: the keys it exports appear in the document
+// of every daemon, so an identity of any daemon may name them.
+const shellPkg = "internal/httpx"
 
 // Markers delimiting the counter table (and identity lines) in DESIGN.md.
 const (
@@ -138,36 +145,20 @@ func runVarslint(p *Pass) {
 			}
 			return true
 		})
-		// Pass B: vars-document literals (map[string]any composite
-		// literals with string keys).
-		ast.Inspect(f.AST, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok || !p.isStringAnyMap(lit) {
-				return true
-			}
-			for _, el := range lit.Elts {
-				kv, ok := el.(*ast.KeyValueExpr)
-				if !ok {
-					continue
-				}
-				key, ok := stringLit(kv.Key)
-				if !ok {
-					continue
-				}
-				allKeys[key] = true
-				field := p.loadOfCounter(kv.Value)
-				if field == nil {
-					if id, isID := kv.Value.(*ast.Ident); isID {
-						if obj := p.ObjectOf(id); obj != nil {
-							field = bindings[obj]
-						}
+		// Pass B: vars-document entries.
+		p.varsEntries(f, func(key string, kv *ast.KeyValueExpr) {
+			allKeys[key] = true
+			field := p.loadOfCounter(kv.Value)
+			if field == nil {
+				if id, isID := kv.Value.(*ast.Ident); isID {
+					if obj := p.ObjectOf(id); obj != nil {
+						field = bindings[obj]
 					}
 				}
-				if field != nil && isAtomicCounter(field.Type()) {
-					exports[field] = append(exports[field], export{key: key, pos: kv.Key.Pos()})
-				}
 			}
-			return true
+			if field != nil && isAtomicCounter(field.Type()) {
+				exports[field] = append(exports[field], export{key: key, pos: kv.Key.Pos()})
+			}
 		})
 	}
 
@@ -203,16 +194,52 @@ func runVarslint(p *Pass) {
 			p.Reportf(e.pos, "counter %q is not documented in the DESIGN.md counter table", e.key)
 		}
 	}
+	shell := p.shellKeys()
 	for _, id := range identities {
 		if id.pkg != p.Pkg.Rel {
 			continue
 		}
 		for _, name := range id.names {
-			if !allKeys[name] {
-				p.Reportf(anchor, "DESIGN.md identity %q references %q, which %s does not export on /debug/vars", id.text, name, p.Pkg.Rel)
+			if !allKeys[name] && !shell[name] {
+				p.Reportf(anchor, "DESIGN.md identity %q references %q, which neither %s nor the daemon shell (%s) exports on /debug/vars", id.text, name, p.Pkg.Rel, shellPkg)
 			}
 		}
 	}
+}
+
+// varsEntries calls fn for every string-keyed entry of the map[string]any
+// composite literals in f: the entries of a /debug/vars document.
+func (p *Pass) varsEntries(f *File, fn func(key string, kv *ast.KeyValueExpr)) {
+	ast.Inspect(f.AST, func(n ast.Node) bool {
+		lit, ok := n.(*ast.CompositeLit)
+		if !ok || !p.isStringAnyMap(lit) {
+			return true
+		}
+		for _, el := range lit.Elts {
+			if kv, ok := el.(*ast.KeyValueExpr); ok {
+				if key, ok := stringLit(kv.Key); ok {
+					fn(key, kv)
+				}
+			}
+		}
+		return true
+	})
+}
+
+// shellKeys returns the /debug/vars keys the daemon shell exports.
+func (p *Pass) shellKeys() map[string]bool {
+	keys := map[string]bool{}
+	for _, pkg := range p.Mod.Pkgs {
+		if pkg.Rel != shellPkg {
+			continue
+		}
+		for _, f := range pkg.Files {
+			if !f.Test {
+				p.varsEntries(f, func(key string, _ *ast.KeyValueExpr) { keys[key] = true })
+			}
+		}
+	}
+	return keys
 }
 
 // isStringAnyMap reports whether a composite literal has type

@@ -1,23 +1,11 @@
 package router
 
-import (
-	"sync/atomic"
-	"time"
+import "sync/atomic"
 
-	"repro/internal/report"
-)
-
-// metrics is the router's observability surface, exported expvar-style as
-// one JSON document on /debug/vars — the fleet-level twin of the shard
-// counters in internal/server.
+// metrics holds the router's own counters, exported expvar-style on
+// /debug/vars beside the request counters and latency histogram of the
+// daemon shell (internal/httpx).
 type metrics struct {
-	start time.Time
-
-	requests     atomic.Uint64
-	responses2xx atomic.Uint64
-	responses4xx atomic.Uint64
-	responses5xx atomic.Uint64
-
 	// fallback counts forwards sent to a non-primary replica; rebalances
 	// counts up→down shard transitions (each one shifts that shard's keys
 	// onto its replicas until recovery); recoveries counts down→up
@@ -26,32 +14,10 @@ type metrics struct {
 	rebalances atomic.Uint64
 	recoveries atomic.Uint64
 	unroutable atomic.Uint64
-
-	latency *report.LatencyHistogram
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		start:   time.Now(),
-		latency: report.NewLatencyHistogram(),
-	}
-}
-
-// observe records one finished request.
-func (m *metrics) observe(status int, elapsed time.Duration) {
-	m.requests.Add(1)
-	m.latency.Observe(elapsed)
-	switch {
-	case status >= 500:
-		m.responses5xx.Add(1)
-	case status >= 400:
-		m.responses4xx.Add(1)
-	default:
-		m.responses2xx.Add(1)
-	}
-}
-
-// vars assembles the full metrics document.
+// vars assembles the router's share of the metrics document; the shell
+// adds its own keys.
 func (rt *Router) vars() map[string]any {
 	now := rt.now()
 	var forwarded, failures uint64
@@ -69,14 +35,6 @@ func (rt *Router) vars() map[string]any {
 		}
 	}
 	return map[string]any{
-		"uptime_seconds": time.Since(rt.met.start).Seconds(),
-		"draining":       rt.draining.Load(),
-
-		"requests_total": rt.met.requests.Load(),
-		"responses_2xx":  rt.met.responses2xx.Load(),
-		"responses_4xx":  rt.met.responses4xx.Load(),
-		"responses_5xx":  rt.met.responses5xx.Load(),
-
 		"forwarded_total":        forwarded,
 		"forward_failures_total": failures,
 		"fallback_total":         rt.met.fallback.Load(),
@@ -92,8 +50,5 @@ func (rt *Router) vars() map[string]any {
 		"shard_cooldown_seconds": rt.cfg.ShardCooldown.Seconds(),
 
 		"fault_injection": rt.cfg.Faults.Counts(),
-
-		"latency_seconds": rt.met.latency.Snapshot(),
-		"latency_summary": rt.met.latency.Summary(),
 	}
 }

@@ -150,16 +150,17 @@ func (sh *shardState) markUp(now time.Time) bool {
 	return wasDown
 }
 
-// Router is the fleet frontend. Build one with New, mount Handler on an
-// http.Server, and call BeginDrain before http.Server.Shutdown.
+// Router is the fleet frontend. Build one with New, then run Serve, or
+// mount Handler on an http.Server and call BeginDrain before
+// http.Server.Shutdown; the embedded daemon shell provides all three.
 type Router struct {
-	cfg      Config
-	ring     *Ring
-	shards   map[string]*shardState
-	met      *metrics
-	handler  http.Handler
-	draining atomic.Bool
-	now      func() time.Time // injectable for cooldown tests
+	*httpx.Shell
+
+	cfg    Config
+	ring   *Ring
+	shards map[string]*shardState
+	met    metrics
+	now    func() time.Time // injectable for cooldown tests
 }
 
 // New builds the router from a validated configuration.
@@ -176,7 +177,6 @@ func New(cfg Config) (*Router, error) {
 		cfg:    cfg,
 		ring:   ring,
 		shards: make(map[string]*shardState, len(cfg.Shards)),
-		met:    newMetrics(),
 		now:    time.Now,
 	}
 	for _, name := range ring.Shards() {
@@ -197,36 +197,22 @@ func New(cfg Config) (*Router, error) {
 		rt.shards[name] = &shardState{name: name, cli: cli}
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", rt.handleHealthz)
-	mux.Handle("GET /debug/vars", httpx.Vars(rt.vars))
 	mux.HandleFunc("POST /v1/metric", rt.handleMetric)
 	mux.HandleFunc("POST /v1/analyze", rt.handleAnalyze)
 	mux.HandleFunc("POST /v1/place", rt.handlePlace)
-	mw := &httpx.Middleware{
+	rt.Shell = httpx.New(mux, httpx.Config{
 		Timeout: cfg.RequestTimeout,
 		// Read rt.now per request, so a clock swapped after New applies.
-		Now:     func() time.Time { return rt.now() },
-		Observe: rt.met.observe,
-		Log:     cfg.AccessLog,
-	}
-	rt.handler = mw.Wrap(mux)
+		Now:    func() time.Time { return rt.now() },
+		Log:    cfg.AccessLog,
+		Vars:   rt.vars,
+		Health: rt.health,
+	})
 	return rt, nil
 }
 
-// Handler returns the full request pipeline: routing wrapped with the
-// timeout, metrics and access-logging middleware.
-func (rt *Router) Handler() http.Handler { return rt.handler }
-
-// BeginDrain flips the router into draining mode: /healthz answers 503 so
-// load balancers stop routing here while in-flight forwards finish.
-func (rt *Router) BeginDrain() { rt.draining.Store(true) }
-
-// Draining reports whether BeginDrain was called.
-func (rt *Router) Draining() bool { return rt.draining.Load() }
-
-// handleHealthz answers liveness probes with the router's own state plus
-// its current view of shard health; a draining router reports 503.
-func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
+// health adds the router's current view of shard health to /healthz.
+func (rt *Router) health() map[string]any {
 	now := rt.now()
 	shards := make(map[string]string, len(rt.shards))
 	for name, sh := range rt.shards {
@@ -236,13 +222,7 @@ func (rt *Router) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			shards[name] = "up"
 		}
 	}
-	status := "ok"
-	code := http.StatusOK
-	if rt.draining.Load() {
-		status = "draining"
-		code = http.StatusServiceUnavailable
-	}
-	httpx.WriteJSON(w, code, map[string]any{"status": status, "shards": shards})
+	return map[string]any{"shards": shards}
 }
 
 // handleMetric routes POST /v1/metric by the snapshot's canonical

@@ -1,25 +1,13 @@
 package server
 
-import (
-	"sync/atomic"
-	"time"
+import "sync/atomic"
 
-	"repro/internal/report"
-)
-
-// metrics is the advisor's observability surface, exported expvar-style as
-// one JSON document on /debug/vars. Counters are lock-free atomics; the
-// latency histogram is the shared report.LatencyHistogram, so the daemon
-// and the experiment tooling summarise latencies identically.
+// metrics holds the advisor's own counters, lock-free atomics exported
+// expvar-style on /debug/vars beside the request counters and latency
+// histogram of the daemon shell (internal/httpx).
 type metrics struct {
-	start time.Time
-
-	requests     atomic.Uint64
-	responses2xx atomic.Uint64
-	responses4xx atomic.Uint64
-	responses5xx atomic.Uint64
-	shed         atomic.Uint64
-	timeouts     atomic.Uint64
+	shed     atomic.Uint64
+	timeouts atomic.Uint64
 
 	// Degradation-path counters: every degraded answer increments
 	// degraded plus exactly one of staleServed (stale cache fallback) or
@@ -44,34 +32,11 @@ type metrics struct {
 	placements     atomic.Uint64
 	placeCoalesced atomic.Uint64
 	placePairs     atomic.Uint64
-
-	latency *report.LatencyHistogram
 }
 
-func newMetrics() *metrics {
-	return &metrics{
-		start:   time.Now(),
-		latency: report.NewLatencyHistogram(),
-	}
-}
-
-// observe records one finished request.
-func (m *metrics) observe(status int, elapsed time.Duration) {
-	m.requests.Add(1)
-	m.latency.Observe(elapsed)
-	switch {
-	case status >= 500:
-		m.responses5xx.Add(1)
-	case status >= 400:
-		m.responses4xx.Add(1)
-	default:
-		m.responses2xx.Add(1)
-	}
-}
-
-// vars assembles the full metrics document. Gauges (worker occupancy, queue
-// length, cache size) are sampled from the server's live components at call
-// time.
+// vars assembles the server's share of the metrics document; the shell
+// adds its own keys. Gauges (worker occupancy, queue length, cache size)
+// are sampled from the server's live components at call time.
 func (s *Server) vars() map[string]any {
 	// Bound straight off the atomics so the counter registration is
 	// direct — the binding varslint checks against the DESIGN.md table.
@@ -81,15 +46,8 @@ func (s *Server) vars() map[string]any {
 		hitRate = float64(hits) / float64(hits+misses)
 	}
 	return map[string]any{
-		"uptime_seconds": time.Since(s.met.start).Seconds(),
-		"draining":       s.draining.Load(),
-
-		"requests_total": s.met.requests.Load(),
-		"responses_2xx":  s.met.responses2xx.Load(),
-		"responses_4xx":  s.met.responses4xx.Load(),
-		"responses_5xx":  s.met.responses5xx.Load(),
-		"shed_total":     s.met.shed.Load(),
-		"timeout_total":  s.met.timeouts.Load(),
+		"shed_total":    s.met.shed.Load(),
+		"timeout_total": s.met.timeouts.Load(),
 
 		"degraded_total":       s.met.degraded.Load(),
 		"stale_served_total":   s.met.staleServed.Load(),
@@ -125,8 +83,5 @@ func (s *Server) vars() map[string]any {
 		"queued":              s.lim.queued(),
 
 		"machine_pool": s.pool.Stats(),
-
-		"latency_seconds": s.met.latency.Snapshot(),
-		"latency_summary": s.met.latency.Summary(),
 	}
 }

@@ -28,7 +28,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sync/atomic"
 	"time"
 
 	"repro/api"
@@ -154,22 +153,23 @@ type probeFunc func(ctx context.Context, d *arch.Desc, chips int, spec *workload
 // timing and failure modes.
 type placeFunc func(ctx context.Context, in *placement.Input) (api.PlaceResponse, error)
 
-// Server is the advisor service. Build one with New, mount Handler on an
-// http.Server, and call BeginDrain before http.Server.Shutdown.
+// Server is the advisor service. Build one with New, then run Serve, or
+// mount Handler on an http.Server and call BeginDrain before
+// http.Server.Shutdown; the embedded daemon shell provides all three.
 type Server struct {
+	*httpx.Shell
+
 	cfg          Config
 	defaultArch  *arch.Desc
 	lim          *limiter
 	cache        *lruCache
 	brk          *breaker
-	met          *metrics
-	handler      http.Handler
+	met          metrics
 	flights      *flightGroup[Recommendation]
 	placeFlights *flightGroup[api.PlaceResponse]
 	probe        probeFunc
 	place        placeFunc
 	pool         *cpu.Pool
-	draining     atomic.Bool
 
 	// The POST endpoints' request pipelines (endpoint.go).
 	metricEP, analyzeEP *endpoint[Recommendation]
@@ -192,7 +192,6 @@ func New(cfg Config) (*Server, error) {
 		lim:          newLimiter(cfg.Workers, cfg.QueueDepth),
 		cache:        newLRUCache(cfg.CacheSize),
 		brk:          newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		met:          newMetrics(),
 		flights:      newFlightGroup[Recommendation](),
 		placeFlights: newFlightGroup[api.PlaceResponse](),
 		// At most Workers probes run at once, so Workers machines per
@@ -247,32 +246,17 @@ func New(cfg Config) (*Server, error) {
 		clientErr: placement.ErrInfeasible,
 	}
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.Handle("GET /debug/vars", httpx.Vars(s.vars))
 	mux.HandleFunc("POST /v1/metric", s.handleMetric)
 	mux.HandleFunc("POST /v1/analyze", s.handleAnalyze)
 	mux.HandleFunc("POST /v1/place", s.handlePlace)
-	mw := &httpx.Middleware{
+	s.Shell = httpx.New(mux, httpx.Config{
 		Timeout: cfg.RequestTimeout,
 		Now:     time.Now,
-		Observe: s.met.observe,
 		Log:     cfg.AccessLog,
-	}
-	s.handler = mw.Wrap(mux)
+		Vars:    s.vars,
+	})
 	return s, nil
 }
-
-// Handler returns the full request pipeline: routing wrapped with the
-// timeout, metrics and access-logging middleware.
-func (s *Server) Handler() http.Handler { return s.handler }
-
-// BeginDrain flips the server into draining mode: /healthz answers 503 so
-// load balancers stop routing here, while in-flight and queued requests run
-// to completion. Call it just before http.Server.Shutdown.
-func (s *Server) BeginDrain() { s.draining.Store(true) }
-
-// Draining reports whether BeginDrain was called.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // resolveArch maps a request/config architecture name to its description.
 func resolveArch(name string) (*arch.Desc, error) {
@@ -281,14 +265,4 @@ func resolveArch(name string) (*arch.Desc, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	return d, nil
-}
-
-// handleHealthz answers liveness probes; a draining server reports 503 so
-// balancers stop sending new work while in-flight requests finish.
-func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	if s.draining.Load() {
-		httpx.WriteJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
-		return
-	}
-	httpx.WriteJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }

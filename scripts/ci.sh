@@ -181,8 +181,9 @@ stage_race() {
 	go run ./cmd/smtlint -run racecover ./...
 	step "race detector (concurrent packages)"
 	go test -race -count=1 ./internal/experiments ./internal/cpu ./internal/sched \
-		./internal/server ./internal/router ./internal/report ./internal/fault \
-		./internal/controller ./internal/workload ./internal/placement ./client
+		./internal/server ./internal/router ./internal/httpx ./internal/report \
+		./internal/fault ./internal/controller ./internal/workload \
+		./internal/placement ./client
 	# Placement determinism, explicitly: the pair-scoring shape must match
 	# its scan referee and golden pins, and a placement must reproduce
 	# byte for byte, also under the race detector.
