@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	smtselect "repro"
+	"repro/internal/arch"
 )
 
 func main() {
@@ -33,7 +34,7 @@ func main() {
 	}
 	var (
 		benchName = flag.String("bench", "SPECjbb_contention", "benchmark to tune")
-		archName  = flag.String("arch", "power7", "architecture: power7 or nehalem")
+		archName  = flag.String("arch", "power7", "architecture: power7, nehalem or smt8")
 		chips     = flag.Int("chips", 1, "number of chips")
 		thresh    = flag.Float64("threshold", 0.21, "SMT-selection metric threshold")
 		seed      = flag.Uint64("seed", 42, "workload seed")
@@ -48,14 +49,9 @@ func main() {
 		os.Exit(2)
 	}
 
-	var d *smtselect.Arch
-	switch strings.ToLower(*archName) {
-	case "power7", "p7":
-		d = smtselect.POWER7()
-	case "nehalem", "i7":
-		d = smtselect.Nehalem()
-	default:
-		fmt.Fprintf(os.Stderr, "smtctl: unknown architecture %q (want power7 or nehalem)\n", *archName)
+	d, err := arch.ByName(*archName)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "smtctl: %v\n", err)
 		os.Exit(2)
 	}
 

@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 	"time"
 
 	"repro/internal/arch"
@@ -45,21 +44,13 @@ func main() {
 		return
 	}
 
-	var d *arch.Desc
-	switch strings.ToLower(*archName) {
-	case "power7", "p7":
-		d = arch.POWER7()
-	case "nehalem", "i7", "corei7":
-		d = arch.Nehalem()
-	case "smt8":
-		d = arch.GenericSMT8()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown architecture %q (want power7, nehalem or smt8)\n", *archName)
+	d, err := arch.ByName(*archName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	var spec *workload.Spec
-	var err error
 	if *specFile != "" {
 		spec, err = workload.LoadSpecFile(*specFile)
 	} else {

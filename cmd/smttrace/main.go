@@ -13,7 +13,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"repro/internal/arch"
 	"repro/internal/cpu"
@@ -98,23 +97,15 @@ func record(args []string) error {
 func replay(args []string) error {
 	fs := flag.NewFlagSet("replay", flag.ExitOnError)
 	in := fs.String("i", "out.trc", "input trace file")
-	archName := fs.String("arch", "power7", "architecture: power7, nehalem, smt8")
+	archName := fs.String("arch", "power7", "architecture: power7, nehalem or smt8")
 	smt := fs.Int("smt", 1, "SMT level")
 	copies := fs.Int("copies", 1, "how many hardware threads replay the trace")
 	fs.Parse(args)
 
-	var d *arch.Desc
-	switch strings.ToLower(*archName) {
-	case "power7", "p7":
-		d = arch.POWER7()
-	case "nehalem", "i7":
-		d = arch.Nehalem()
-	case "smt8":
-		d = arch.GenericSMT8()
-	default:
-		return fmt.Errorf("unknown architecture %q", *archName)
+	d, err := arch.ByName(*archName)
+	if err != nil {
+		return err
 	}
-
 	m, err := cpu.NewMachine(d, 1)
 	if err != nil {
 		return err
