@@ -249,6 +249,18 @@ func (d *Desc) SupportsSMT(level int) bool {
 	return false
 }
 
+// LowerLevel returns the next exposed SMT level below level, or level
+// itself when none is lower (SMT1 stays at 1).
+func (d *Desc) LowerLevel(level int) int {
+	next := level
+	for _, l := range d.SMTLevels {
+		if l < level && (next == level || l > next) {
+			next = l
+		}
+	}
+	return next
+}
+
 // POWER7 port indices (paper Fig. 4; CR merged into BR per Eq. 2).
 const (
 	P7PortLS0 = iota

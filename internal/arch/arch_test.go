@@ -245,3 +245,22 @@ func TestValidatePortOverflow(t *testing.T) {
 		t.Fatal("out-of-range port mask accepted")
 	}
 }
+
+// TestLowerLevel steps down one exposed level at a time on every
+// architecture; SMT1, with nothing below it, stays put.
+func TestLowerLevel(t *testing.T) {
+	for _, c := range []struct {
+		d    *Desc
+		want map[int]int // level -> next level down
+	}{
+		{POWER7(), map[int]int{4: 2, 2: 1, 1: 1}},
+		{Nehalem(), map[int]int{2: 1, 1: 1}},
+		{GenericSMT8(), map[int]int{8: 4, 4: 2, 2: 1, 1: 1}},
+	} {
+		for level, want := range c.want {
+			if got := c.d.LowerLevel(level); got != want {
+				t.Errorf("%s.LowerLevel(%d) = %d, want %d", c.d.Name, level, got, want)
+			}
+		}
+	}
+}

@@ -77,17 +77,6 @@ func New(d *arch.Desc, cfg Config) (*Controller, error) {
 // Level returns the controller's current SMT-level choice.
 func (c *Controller) Level() int { return c.level }
 
-// lowerLevel returns the next exposed level below l (or l if none).
-func (c *Controller) lowerLevel(l int) int {
-	best := l
-	for _, v := range c.desc.SMTLevels {
-		if v < l && (best == l || v > best) {
-			best = v
-		}
-	}
-	return best
-}
-
 // Decision describes one controller step, for logging.
 type Decision struct {
 	Interval  int
@@ -106,7 +95,7 @@ func (c *Controller) Observe(interval int, delta *counters.Snapshot) Decision {
 	if c.level == c.desc.MaxSMT {
 		c.sinceProbe = 0
 		if m.Value > c.cfg.Threshold*(1+c.cfg.Hysteresis) {
-			d.NextLevel = c.lowerLevel(c.level)
+			d.NextLevel = c.desc.LowerLevel(c.level)
 		}
 	} else {
 		c.sinceProbe++
@@ -121,7 +110,7 @@ func (c *Controller) Observe(interval int, delta *counters.Snapshot) Decision {
 		} else if m.Value > c.cfg.Threshold*(1+c.cfg.Hysteresis) {
 			// Still clearly past the threshold: consider an even lower
 			// level if one exists.
-			d.NextLevel = c.lowerLevel(c.level)
+			d.NextLevel = c.desc.LowerLevel(c.level)
 		}
 	}
 	c.level = d.NextLevel

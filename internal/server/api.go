@@ -67,15 +67,8 @@ func decide(d *arch.Desc, measuredLevel int, m smtsm.Breakdown, th float64) Reco
 	}
 	if m.Value > th {
 		rec.LowerSMT = true
-		// Step to the next exposed level below the measured one (stay put
-		// when none exists, e.g. a snapshot already at SMT1).
-		best := measuredLevel
-		for _, l := range d.SMTLevels {
-			if l < measuredLevel && (best == measuredLevel || l > best) {
-				best = l
-			}
-		}
-		rec.RecommendedLevel = best
+		// Stays put when no level is lower, e.g. a snapshot already at SMT1.
+		rec.RecommendedLevel = d.LowerLevel(measuredLevel)
 	}
 	return rec
 }
