@@ -79,16 +79,17 @@ func checkEnvelope(t *testing.T, status int, header http.Header, body []byte, wa
 
 // unsimulated posts body to path on a test server whose probe and place
 // stubs fail the test: for requests that must be rejected before any
-// simulation, since the real engine would try to allocate for them.
+// simulation, because the real engine would try to allocate for them or
+// would read them as some other request.
 func unsimulated(path, body string) func(t *testing.T) (int, http.Header, []byte) {
 	return func(t *testing.T) (int, http.Header, []byte) {
 		s := newTestServer(t, testConfig())
 		s.probe = func(context.Context, *arch.Desc, int, *workload.Spec, uint64) (controller.ProbeResult, error) {
-			t.Fatal("an oversized request reached the probe")
+			t.Fatal("a request to reject reached the probe")
 			return controller.ProbeResult{}, nil
 		}
 		s.place = func(context.Context, *placement.Input) (api.PlaceResponse, error) {
-			t.Fatal("an oversized request reached the placement engine")
+			t.Fatal("a request to reject reached the placement engine")
 			return api.PlaceResponse{}, nil
 		}
 		w := postRaw(t, s.Handler(), path, body)
@@ -139,6 +140,8 @@ func TestErrorEnvelopeTable(t *testing.T) {
 			bad("/v1/analyze", `{"bench":"EP","spec":{"name":"x","mix":{"int":1},"chains":1,"workingSetKB":1,"totalWork":1000,"iterLen":100}}`)},
 		{"analyze/unknown-spec-field", 400, api.CodeBadRequest, false,
 			unsimulated("/v1/analyze", `{"spec":{"name":"x","mix":{"int":1},"chains":1,"workingSetKB":1,"totalWork":1000,"iterLen":100,"lockEvry":2}}`)},
+		{"analyze/negative-stride", 400, api.CodeBadRequest, false,
+			unsimulated("/v1/analyze", `{"spec":{"name":"x","mix":{"load":1},"chains":1,"workingSetKB":1,"totalWork":1000,"iterLen":100,"strideBytes":-64}}`)},
 
 		{"analyze/probe-failed", 500, api.CodeProbeFailed, false,
 			func(t *testing.T) (int, http.Header, []byte) {

@@ -238,6 +238,9 @@ func TestPlaceErrorEnvelopeTable(t *testing.T) {
 		{"unknown-spec-field", 400, api.CodeBadRequest, false,
 			unsimulated("/v1/place", `{"workloads":[{"name":"a","spec":{"name":"x","mix":{"int":1,"flops":3},`+
 				`"chains":1,"workingSetKB":1,"totalWork":1000,"iterLen":100}}]}`)},
+		{"negative-stride", 400, api.CodeBadRequest, false,
+			unsimulated("/v1/place", `{"workloads":[{"name":"a","spec":{"name":"x","mix":{"load":1},`+
+				`"chains":1,"workingSetKB":1,"totalWork":1000,"iterLen":100,"strideBytes":-64}}]}`)},
 		{"over-capacity", 400, api.CodeBadRequest, false,
 			bad(`{"workloads":[{"name":"a","bench":"EP","threads":1000}]}`)},
 		{"too-many-chips", 400, api.CodeBadRequest, false,

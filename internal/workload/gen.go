@@ -48,8 +48,7 @@ type genTables struct {
 	classK                         [isa.NumClasses]uint64
 	coldK, sharedK, chainK, crossK uint64
 
-	// stride is the spec's StrideBytes, or 0 (random access) for a
-	// negative one, which Validate lets through.
+	// stride is the spec's StrideBytes (0 = random access).
 	stride uint64
 
 	privBase uint64
@@ -89,7 +88,7 @@ func newGenTables(spec *Spec, threadID int, seed uint64) *genTables {
 		sharedK:  xrand.Threshold(spec.SharedFrac),
 		chainK:   xrand.Threshold(spec.ChainFrac),
 		crossK:   xrand.Threshold(spec.CrossDep),
-		stride:   uint64(max(spec.StrideBytes, 0)),
+		stride:   uint64(spec.StrideBytes),
 		privBase: threadRegionBase(threadID),
 		privSize: uint64(spec.WorkingSetKB) << 10,
 		sharedSz: uint64(spec.SharedSetKB) << 10,

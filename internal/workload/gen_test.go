@@ -67,37 +67,6 @@ func TestStrideWrapsAtWorkingSet(t *testing.T) {
 	}
 }
 
-// TestNegativeStrideIsRandom checks that a negative StrideBytes, which
-// Validate lets through, generates the instruction stream of StrideBytes 0
-// (random access, the same draws) instead of striding by its unsigned wrap.
-func TestNegativeStrideIsRandom(t *testing.T) {
-	stream := func(stride int) []isa.Inst {
-		spec := memSpec(func(s *Spec) {
-			s.StrideBytes = stride
-			s.ColdFrac = 0.3
-			s.SharedSetKB, s.SharedFrac = 64, 0.2
-		})
-		inst, err := Instantiate(spec, 1, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		src := inst.Sources()[0]
-		out := make([]isa.Inst, 4000)
-		for i := range out {
-			if src.Fetch(int64(i), &out[i]) != isa.FetchOK {
-				t.Fatalf("stride %d: fetch %d failed", stride, i)
-			}
-		}
-		return out
-	}
-	neg, zero := stream(-64), stream(0)
-	for i := range zero {
-		if neg[i] != zero[i] {
-			t.Fatalf("instruction %d: stride -64 gives %+v, stride 0 gives %+v", i, neg[i], zero[i])
-		}
-	}
-}
-
 func TestHotColdSplitRandom(t *testing.T) {
 	spec := memSpec(func(s *Spec) { s.ColdFrac = 0.1 })
 	base := threadRegionBase(0)

@@ -158,6 +158,9 @@ func (s *Spec) Validate() error {
 	if s.BranchEntropy < 0 || s.BranchEntropy > 1 {
 		return fmt.Errorf("workload %s: BranchEntropy %v out of [0,1]", s.Name, s.BranchEntropy)
 	}
+	if s.StrideBytes < 0 {
+		return fmt.Errorf("workload %s: negative StrideBytes %d", s.Name, s.StrideBytes)
+	}
 	if s.ColdFrac < 0 || s.ColdFrac > 1 {
 		return fmt.Errorf("workload %s: ColdFrac %v out of [0,1]", s.Name, s.ColdFrac)
 	}
