@@ -91,8 +91,8 @@ func main() {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
-	runner := &runner{seed: *seed, quiet: *quiet, svgDir: *svgDir}
-	runner.pool = &experiments.Runner{Workers: *workers, CellTimeout: *cellTimeout, Now: time.Now}
+	runner := &runner{seed: *seed, quiet: *quiet, svgDir: *svgDir, cellBudget: *cellTimeout}
+	runner.pool = &experiments.Runner{Workers: *workers, Now: time.Now}
 	if *progress {
 		runner.pool.OnEvent = func(ev experiments.Event) {
 			if ev.Cached {
@@ -130,12 +130,13 @@ func main() {
 }
 
 type runner struct {
-	seed     uint64
-	quiet    bool
-	svgDir   string
-	pool     *experiments.Runner
-	total    experiments.Stats
-	matrices map[string]*experiments.Matrix
+	seed       uint64
+	quiet      bool
+	svgDir     string
+	cellBudget time.Duration // -cell-timeout, every matrix's CellBudget
+	pool       *experiments.Runner
+	total      experiments.Stats
+	matrices   map[string]*experiments.Matrix
 }
 
 // sweep fills cells through the shared worker pool, accumulating
@@ -210,11 +211,11 @@ func (r *runner) matrix(sys experiments.System) *experiments.Matrix {
 		return m
 	}
 	m := experiments.NewMatrix(sys, r.seed)
-	// The render path (figure code calling Matrix.Cell) honours the same
-	// interrupt context and per-cell budget as the worker pool: after a
-	// Ctrl-C or timed-out sweep, figures render the completed cells instead
-	// of re-simulating the missing ones without bound.
-	m.CellBudget = r.pool.CellTimeout
+	// The budget bounds every cell, swept by the worker pool or computed on
+	// the render path (figure code calling Matrix.Cell): after a Ctrl-C or
+	// timed-out sweep, figures render the completed cells instead of
+	// re-simulating the missing ones without bound.
+	m.CellBudget = r.cellBudget
 	r.matrices[sys.Name] = m
 	return m
 }

@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/cpu"
 )
 
 // CellRef names one cell of a sweep.
@@ -70,16 +68,14 @@ func (s Stats) Speedup() float64 {
 // runs on one worker or sixteen (the determinism tests assert exactly
 // this across GOMAXPROCS settings).
 //
-// The zero value is a GOMAXPROCS-wide pool with no timeout and no progress
-// reporting.
+// The zero value is a GOMAXPROCS-wide pool with no progress reporting.
+// A cell's budget is its matrix's CellBudget: a cell that overruns it
+// reports context.DeadlineExceeded in its Event and counts toward
+// Stats.Failed; it is not cached, so a later sweep with a larger budget can
+// retry it.
 type Runner struct {
 	// Workers bounds the pool; <= 0 means GOMAXPROCS.
 	Workers int
-	// CellTimeout bounds one cell's simulation; 0 means no per-cell bound.
-	// A timed-out cell reports context.DeadlineExceeded in its Event and
-	// counts toward Stats.Failed; it is not cached, so a later sweep with a
-	// larger budget can retry it.
-	CellTimeout time.Duration
 	// OnEvent, when non-nil, observes each cell completion. Calls are
 	// serialized by the runner; the callback must not call back into the
 	// same Runner.
@@ -194,27 +190,21 @@ dispatch:
 	return stats, ctx.Err()
 }
 
-// runCell computes one cell under the per-cell timeout and publishes its
-// Event and stats.
+// runCell computes one cell and publishes its Event and stats.
 func (r *Runner) runCell(ctx context.Context, j job, total int, mu *sync.Mutex, seq *int, stats *Stats) {
-	cctx := ctx
-	if r.CellTimeout > 0 {
-		var cancel context.CancelFunc
-		cctx, cancel = context.WithTimeout(ctx, r.CellTimeout)
-		defer cancel()
-	}
 	t0 := r.now()
 	cached := j.m.peek(j.ref.Bench, j.ref.SMT)
-	c := j.m.Cell(cctx, j.ref.Bench, j.ref.SMT)
+	c := j.m.Cell(ctx, j.ref.Bench, j.ref.SMT)
 	elapsed := r.since(t0)
 
+	// Surface the bare context error of an interrupted run, so consumers
+	// can tell a per-cell budget overrun from a sweep abort.
 	err := c.Err
-	if err != nil && errors.Is(err, cpu.ErrCanceled) {
-		// Surface the bare context error (timeout vs cancellation) so
-		// consumers can tell a per-cell budget overrun from a sweep abort.
-		if cerr := cctx.Err(); cerr != nil {
-			err = cerr
-		}
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
+		err = context.DeadlineExceeded
+	case errors.Is(err, context.Canceled):
+		err = context.Canceled
 	}
 
 	mu.Lock()

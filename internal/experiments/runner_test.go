@@ -157,7 +157,8 @@ func TestSweepCellTimeout(t *testing.T) {
 		t.Skip("simulation-backed test")
 	}
 	m := NewMatrix(P7OneChip, DefaultSeed)
-	r := &Runner{Workers: 1, CellTimeout: time.Millisecond}
+	m.CellBudget = time.Millisecond
+	r := &Runner{Workers: 1}
 	var timedOut error
 	r.OnEvent = func(ev Event) { timedOut = ev.Err }
 	stats, err := r.Sweep(context.Background(), m, []string{"MG"}, []int{1})
@@ -174,7 +175,7 @@ func TestSweepCellTimeout(t *testing.T) {
 		t.Fatalf("%d timed-out cells were cached", got)
 	}
 	// With no budget the same cell completes and caches.
-	r.CellTimeout = 0
+	m.CellBudget = 0
 	if c := m.Cell(context.Background(), "MG", 1); c.Err != nil || c.Wall <= 0 {
 		t.Fatalf("MG@1 did not recover after timeout: %+v", c)
 	}
