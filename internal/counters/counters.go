@@ -224,15 +224,6 @@ func (s *Snapshot) BranchMPKI() float64 {
 	return 1000 * float64(s.BranchMispredicts) / float64(s.Retired)
 }
 
-// MemAccesses returns the total number of demand accesses recorded.
-func (s *Snapshot) MemAccesses() uint64 {
-	var n uint64
-	for _, h := range s.HitsByLevel {
-		n += h
-	}
-	return n
-}
-
 // canonicalVersion tags the canonical serialisation layout. Bump it whenever
 // a field is added to Snapshot so stale fingerprints can never alias new
 // ones.

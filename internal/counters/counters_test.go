@@ -117,13 +117,6 @@ func TestBranchMPKI(t *testing.T) {
 	}
 }
 
-func TestMemAccesses(t *testing.T) {
-	s := sample()
-	if got := s.MemAccesses(); got != 1500 {
-		t.Fatalf("accesses %v, want 1500", got)
-	}
-}
-
 func TestDelta(t *testing.T) {
 	prev := sample()
 	cur := sample()

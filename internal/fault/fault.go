@@ -21,7 +21,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -296,25 +295,6 @@ func (in *Injector) Counts() map[string]uint64 {
 	}
 	for op, n := range in.calls {
 		out[op+"/calls"] = n
-	}
-	return out
-}
-
-// Summary renders the counters as one sorted, human-readable line for
-// logs: "cache.get/calls=12 probe/delay=3 ...".
-func (in *Injector) Summary() string {
-	counts := in.Counts()
-	keys := make([]string, 0, len(counts))
-	for k := range counts {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	out := ""
-	for _, k := range keys {
-		if out != "" {
-			out += " "
-		}
-		out += fmt.Sprintf("%s=%d", k, counts[k])
 	}
 	return out
 }

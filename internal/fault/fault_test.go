@@ -235,7 +235,4 @@ func TestCountsTracksInjections(t *testing.T) {
 	if counts["probe/error"] != 2 || counts["probe/calls"] != 5 {
 		t.Fatalf("counts %v, want probe/error=2 probe/calls=5", counts)
 	}
-	if in.Summary() == "" {
-		t.Fatal("empty summary with recorded counts")
-	}
 }

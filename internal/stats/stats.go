@@ -1,6 +1,6 @@
 // Package stats provides the small statistical helpers the evaluation
-// needs: means, standard deviations, Pearson correlation (used to reproduce
-// the paper's Fig. 2 "no correlation" result), and min/max scans.
+// needs: means, Pearson correlation (used to reproduce the paper's Fig. 2
+// "no correlation" result), and Spearman rank correlation.
 package stats
 
 import (
@@ -22,23 +22,6 @@ func Mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
-
-// Variance returns the population variance (0 for fewer than two samples).
-func Variance(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return s / float64(len(xs))
-}
-
-// StdDev returns the population standard deviation.
-func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
 // Pearson returns the Pearson correlation coefficient of two equal-length
 // samples. It returns 0 when either sample has zero variance.
@@ -100,36 +83,4 @@ func Ranks(xs []float64) []float64 {
 		i = j + 1
 	}
 	return ranks
-}
-
-// MinMax returns the smallest and largest values of a non-empty sample.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
-// GeoMean returns the geometric mean of a sample of positive values.
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, errors.New("stats: non-positive value in geometric mean")
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
 }

@@ -19,19 +19,6 @@ func TestMean(t *testing.T) {
 	}
 }
 
-func TestVarianceAndStdDev(t *testing.T) {
-	xs := []float64{2, 4, 4, 4, 5, 5, 7, 9}
-	if !almost(Variance(xs), 4, 1e-12) {
-		t.Fatalf("variance %v, want 4", Variance(xs))
-	}
-	if !almost(StdDev(xs), 2, 1e-12) {
-		t.Fatalf("stddev %v, want 2", StdDev(xs))
-	}
-	if Variance([]float64{5}) != 0 {
-		t.Fatal("variance of a single sample must be 0")
-	}
-}
-
 func TestPearsonPerfect(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	ys := []float64{10, 20, 30, 40}
@@ -122,28 +109,5 @@ func TestSpearmanMonotone(t *testing.T) {
 	r, err := Spearman(xs, ys)
 	if err != nil || !almost(r, 1, 1e-12) {
 		t.Fatalf("spearman %v err %v, want 1", r, err)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi, err := MinMax([]float64{3, -1, 7, 2})
-	if err != nil || lo != -1 || hi != 7 {
-		t.Fatalf("MinMax = (%v, %v, %v)", lo, hi, err)
-	}
-	if _, _, err := MinMax(nil); err != ErrEmpty {
-		t.Fatal("MinMax(nil) must return ErrEmpty")
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 4, 16})
-	if err != nil || !almost(g, 4, 1e-9) {
-		t.Fatalf("geomean %v err %v, want 4", g, err)
-	}
-	if _, err := GeoMean([]float64{1, 0}); err == nil {
-		t.Fatal("geomean of zero must fail")
-	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Fatal("geomean of empty must be ErrEmpty")
 	}
 }

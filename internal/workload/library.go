@@ -2,7 +2,6 @@ package workload
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/sched"
 )
@@ -45,18 +44,6 @@ func Names() []string {
 func All() []*Spec {
 	out := make([]*Spec, len(registry))
 	copy(out, registry)
-	return out
-}
-
-// BySuite returns the specs of one suite, sorted by name.
-func BySuite(suite string) []*Spec {
-	var out []*Spec
-	for _, s := range registry {
-		if s.Suite == suite {
-			out = append(out, s)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
 

@@ -173,26 +173,6 @@ func (r *Rand) Bernoulli(p float64) bool {
 	return r.Float64() < p
 }
 
-// Geometric returns a sample from a geometric distribution with success
-// probability p: the number of failures before the first success (>= 0).
-// p is clamped to (0, 1]; p >= 1 always returns 0.
-func (r *Rand) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		p = 1e-9
-	}
-	n := 0
-	for !r.Bernoulli(p) {
-		n++
-		if n > 1<<20 { // safety bound; never hit with sane p
-			break
-		}
-	}
-	return n
-}
-
 // Exp returns an exponentially distributed sample with the given mean,
 // computed by inverse transform. Mean <= 0 returns 0.
 func (r *Rand) Exp(mean float64) float64 {

@@ -143,30 +143,6 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	r := New(12)
-	sum := 0
-	const n = 100_000
-	for i := 0; i < n; i++ {
-		sum += r.Geometric(0.5)
-	}
-	mean := float64(sum) / n
-	// Mean of failures before success at p=0.5 is (1-p)/p = 1.
-	if math.Abs(mean-1) > 0.05 {
-		t.Fatalf("Geometric(0.5) mean %v, want ~1", mean)
-	}
-}
-
-func TestGeometricEdges(t *testing.T) {
-	r := New(13)
-	if r.Geometric(1) != 0 {
-		t.Fatal("Geometric(1) must be 0")
-	}
-	if r.Geometric(2) != 0 {
-		t.Fatal("Geometric(>1) must be 0")
-	}
-}
-
 func TestExpMean(t *testing.T) {
 	r := New(14)
 	sum := 0.0
