@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"repro/internal/workload"
@@ -55,18 +56,61 @@ func TestListSizesMatchPaper(t *testing.T) {
 	}
 }
 
+// TestCellsFor pins the cells each figure prefetches, and the full
+// campaign's per-system cell sets: systems, benchmark lists in order, and
+// SMT levels.
 func TestCellsFor(t *testing.T) {
-	for _, fig := range []string{"1", "2", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16", "17"} {
-		benches, levels, sys, err := CellsFor(fig)
+	for _, c := range []struct {
+		fig     string
+		sys     System
+		benches []string
+		levels  []int
+	}{
+		{"1", P7OneChip, Fig1Benchmarks, []int{1, 4}},
+		{"2", P7OneChip, P7Benchmarks, []int{1, 4}},
+		{"6", P7OneChip, P7Benchmarks, []int{1, 4}},
+		{"7", P7OneChip, Fig7Benchmarks, []int{1, 4}},
+		{"8", P7OneChip, P7Benchmarks, []int{2, 4}},
+		{"9", P7OneChip, P7Benchmarks, []int{1, 2}},
+		{"10", I7OneChip, I7Benchmarks, []int{1, 2}},
+		{"11", P7OneChip, Fig11Benchmarks, []int{1, 4}},
+		{"12", I7OneChip, Fig12Benchmarks, []int{1, 2}},
+		{"13", P7TwoChip, Fig13Benchmarks, []int{1, 4}},
+		{"14", P7TwoChip, Fig14Benchmarks, []int{2, 4}},
+		{"15", P7TwoChip, Fig15Benchmarks, []int{1, 2}},
+		{"16", P7OneChip, P7Benchmarks, []int{1, 4}},
+		{"17", P7OneChip, P7Benchmarks, []int{1, 4}},
+	} {
+		benches, levels, sys, err := CellsFor(c.fig)
 		if err != nil {
-			t.Fatalf("fig %s: %v", fig, err)
+			t.Fatalf("fig %s: %v", c.fig, err)
 		}
-		if len(benches) == 0 || len(levels) == 0 || sys.Chips == 0 {
-			t.Fatalf("fig %s: incomplete cells (%d benches, %d levels)", fig, len(benches), len(levels))
+		if sys.Name != c.sys.Name || sys.Chips != c.sys.Chips ||
+			!slices.Equal(benches, c.benches) || !slices.Equal(levels, c.levels) {
+			t.Errorf("fig %s: cells %s/%d %v @%v, want %s/%d %v @%v", c.fig,
+				sys.Name, sys.Chips, benches, levels, c.sys.Name, c.sys.Chips, c.benches, c.levels)
 		}
 	}
 	if _, _, _, err := CellsFor("99"); err == nil {
 		t.Fatal("unknown figure accepted")
+	}
+
+	want := []FigureCells{
+		{Sys: P7OneChip, Benches: P7Benchmarks, SMTs: []int{1, 2, 4}},
+		{Sys: I7OneChip, Benches: append(slices.Clone(I7Benchmarks), "Canneal"), SMTs: []int{1, 2}},
+		{Sys: P7TwoChip, Benches: append(slices.Clone(Fig13Benchmarks), "MG_MPI", "LU_MPI"), SMTs: []int{1, 2, 4}},
+	}
+	got := AllFigureCells()
+	if len(got) != len(want) {
+		t.Fatalf("AllFigureCells has %d systems, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		g := got[i]
+		if g.Sys.Name != w.Sys.Name || g.Sys.Chips != w.Sys.Chips ||
+			!slices.Equal(g.Benches, w.Benches) || !slices.Equal(g.SMTs, w.SMTs) {
+			t.Errorf("AllFigureCells[%d] = %s/%d %v @%v, want %s/%d %v @%v", i,
+				g.Sys.Name, g.Sys.Chips, g.Benches, g.SMTs, w.Sys.Name, w.Sys.Chips, w.Benches, w.SMTs)
+		}
 	}
 }
 

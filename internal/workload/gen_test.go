@@ -1,9 +1,13 @@
 package workload
 
 import (
+	"encoding/binary"
+	"fmt"
+	"hash/fnv"
 	"math"
 	"testing"
 
+	"repro/internal/golden"
 	"repro/internal/isa"
 	"repro/internal/sched"
 	"repro/internal/xrand"
@@ -309,4 +313,56 @@ func TestDrawThresholds(t *testing.T) {
 			checkThreshold(t, spec.Name+" branch site", p, k)
 		}
 	}
+}
+
+// TestComputeRunSequences pins, for every library spec on 1 and 4 threads,
+// the ComputeRun each thread reports before every Fetch and that Fetch's
+// status, as one hash per run. The threads fetch once per cycle each. It
+// also checks the guarantee macro-stepping rests on: a thread that
+// reports a run of n returns FetchOK on each of its next n fetches. No
+// library spec has a serial phase, so one short extra spec walks every
+// step of the iteration, serial phases and sleeps included, to its end.
+//
+// After an intentional change to the thread scripts, regenerate with:
+//
+//	go test ./internal/workload -run TestComputeRunSequences -update
+func TestComputeRunSequences(t *testing.T) {
+	const cycles = 300_000
+	every := &Spec{
+		Name: "every-step", Mix: Mix{Int: 1}, Chains: 1, WorkingSetKB: 1,
+		TotalWork: 200_000, IterLen: 1000,
+		LockEvery: 3, CritLen: 100, BarrierEvery: 2,
+		SerialEvery: 5, SerialLen: 500, SleepEvery: 7, SleepCycles: 300,
+	}
+	hashes := map[string]string{}
+	for _, spec := range append(All(), every) {
+		for _, n := range []int{1, 4} {
+			inst, err := Instantiate(spec, n, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			var buf [9]byte
+			owed := make([]int64, n) // fetches still promised FetchOK
+			var in isa.Inst
+			for now := int64(0); now < cycles; now++ {
+				for i, th := range inst.Threads {
+					run := th.ComputeRun()
+					owed[i] = max(owed[i], run)
+					st := th.Fetch(now, &in)
+					if owed[i] > 0 {
+						if st != isa.FetchOK {
+							t.Fatalf("%s/%d thread %d cycle %d: fetch %v inside a promised compute run", spec.Name, n, i, now, st)
+						}
+						owed[i]--
+					}
+					binary.LittleEndian.PutUint64(buf[:8], uint64(run))
+					buf[8] = byte(st)
+					h.Write(buf[:])
+				}
+			}
+			hashes[fmt.Sprintf("%s/%d", spec.Name, n)] = fmt.Sprintf("%016x", h.Sum64())
+		}
+	}
+	golden.Assert(t, "computerun", hashes)
 }
