@@ -90,14 +90,18 @@ func BenchmarkFig2(b *testing.B) {
 	}
 }
 
-// scatterBench regenerates one metric-vs-speedup figure and reports its
-// threshold and success rate.
-func scatterBench(b *testing.B, sys experiments.System, fig func(context.Context, *experiments.Matrix) experiments.FigResult) {
+// scatterBench regenerates one of the paper's metric-vs-speedup figures
+// from its system's campaign and reports its threshold and success rate.
+func scatterBench(b *testing.B, fig string) {
 	b.Helper()
-	m := campaign(sys)
+	f, err := experiments.ScatterFigure(fig)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := campaign(f.Sys)
 	var res experiments.FigResult
 	for i := 0; i < b.N; i++ {
-		res = fig(context.Background(), m)
+		res = f.Run(context.Background(), m)
 	}
 	b.Logf("%s: threshold %.4f, success %.0f%%, %d points, mispredicted %v",
 		res.ID, res.Threshold, 100*res.Accuracy, len(res.Points), res.Misclassified)
@@ -107,7 +111,7 @@ func scatterBench(b *testing.B, sys experiments.System, fig func(context.Context
 
 // BenchmarkFig6 regenerates the headline result: SMT4/SMT1 speedup vs
 // metric@SMT4 on one POWER7 chip (paper: ~93% success).
-func BenchmarkFig6(b *testing.B) { scatterBench(b, experiments.P7OneChip, experiments.Fig6) }
+func BenchmarkFig6(b *testing.B) { scatterBench(b, "6") }
 
 // BenchmarkFig7 regenerates the instruction-mix comparison of Fig. 7.
 func BenchmarkFig7(b *testing.B) {
@@ -123,30 +127,30 @@ func BenchmarkFig7(b *testing.B) {
 }
 
 // BenchmarkFig8 regenerates Fig. 8 (SMT4/SMT2 vs metric@SMT4).
-func BenchmarkFig8(b *testing.B) { scatterBench(b, experiments.P7OneChip, experiments.Fig8) }
+func BenchmarkFig8(b *testing.B) { scatterBench(b, "8") }
 
 // BenchmarkFig9 regenerates Fig. 9 (SMT2/SMT1 vs metric@SMT2, POWER7).
-func BenchmarkFig9(b *testing.B) { scatterBench(b, experiments.P7OneChip, experiments.Fig9) }
+func BenchmarkFig9(b *testing.B) { scatterBench(b, "9") }
 
 // BenchmarkFig10 regenerates Fig. 10 (Nehalem; paper: ~86% success with the
 // Streamcluster outlier).
-func BenchmarkFig10(b *testing.B) { scatterBench(b, experiments.I7OneChip, experiments.Fig10) }
+func BenchmarkFig10(b *testing.B) { scatterBench(b, "10") }
 
 // BenchmarkFig11 regenerates Fig. 11 (metric measured at SMT1 breaks down,
 // POWER7): expect a LOW success rate.
-func BenchmarkFig11(b *testing.B) { scatterBench(b, experiments.P7OneChip, experiments.Fig11) }
+func BenchmarkFig11(b *testing.B) { scatterBench(b, "11") }
 
 // BenchmarkFig12 regenerates Fig. 12 (metric at SMT1 on Nehalem).
-func BenchmarkFig12(b *testing.B) { scatterBench(b, experiments.I7OneChip, experiments.Fig12) }
+func BenchmarkFig12(b *testing.B) { scatterBench(b, "12") }
 
 // BenchmarkFig13 regenerates Fig. 13 (two POWER7 chips, SMT4/SMT1).
-func BenchmarkFig13(b *testing.B) { scatterBench(b, experiments.P7TwoChip, experiments.Fig13) }
+func BenchmarkFig13(b *testing.B) { scatterBench(b, "13") }
 
 // BenchmarkFig14 regenerates Fig. 14 (two chips, SMT4/SMT2).
-func BenchmarkFig14(b *testing.B) { scatterBench(b, experiments.P7TwoChip, experiments.Fig14) }
+func BenchmarkFig14(b *testing.B) { scatterBench(b, "14") }
 
 // BenchmarkFig15 regenerates Fig. 15 (two chips, SMT2/SMT1).
-func BenchmarkFig15(b *testing.B) { scatterBench(b, experiments.P7TwoChip, experiments.Fig15) }
+func BenchmarkFig15(b *testing.B) { scatterBench(b, "15") }
 
 // BenchmarkFig16 regenerates Fig. 16: the Gini-impurity curve.
 func BenchmarkFig16(b *testing.B) {

@@ -314,43 +314,14 @@ func (r *runner) figure(ctx context.Context, fig string) {
 
 // scatterFigure renders one of the metric-vs-speedup figures.
 func (r *runner) scatterFigure(ctx context.Context, fig string) {
-	_, _, sys, err := experiments.CellsFor(fig)
+	f, err := experiments.ScatterFigure(fig)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
-	m := r.matrix(sys)
-	var res experiments.FigResult
-	switch fig {
-	case "6":
-		res = experiments.Fig6(ctx, m)
-	case "8":
-		res = experiments.Fig8(ctx, m)
-	case "9":
-		res = experiments.Fig9(ctx, m)
-	case "10":
-		res = experiments.Fig10(ctx, m)
-	case "11":
-		res = experiments.Fig11(ctx, m)
-	case "12":
-		res = experiments.Fig12(ctx, m)
-	case "13":
-		res = experiments.Fig13(ctx, m)
-	case "14":
-		res = experiments.Fig14(ctx, m)
-	case "15":
-		res = experiments.Fig15(ctx, m)
-	}
+	res := f.Run(ctx, r.matrix(f.Sys))
 	fmt.Printf("== Fig. %s: %s ==\n", fig, res.Title)
-	t := report.NewTable("bench", "metric", "speedup", "classified")
-	for _, p := range res.Points {
-		ok := "ok"
-		if (p.Metric < res.Threshold) != (p.Speedup >= 1) {
-			ok = "MISPREDICTED"
-		}
-		t.AddRow(p.Bench, fmt.Sprintf("%.4f", p.Metric), fmt.Sprintf("%.2f", p.Speedup), ok)
-	}
-	fmt.Println(t)
+	fmt.Println(pointTable(res))
 	fmt.Printf("threshold %.4f: success rate %.0f%% (gini range [%.4f, %.4f], impurity %.3f; spearman %.2f)",
 		res.Threshold, 100*res.Accuracy, res.GiniLo, res.GiniHi, res.MinImpurity, res.Spearman)
 	if len(res.Misclassified) > 0 {
@@ -377,6 +348,20 @@ func (r *runner) scatterFigure(ctx context.Context, fig string) {
 	r.writeSVG("fig"+fig, sc.SVG())
 }
 
+// pointTable lists a scatter figure's points, each classified by the
+// figure's threshold.
+func pointTable(res experiments.FigResult) *report.Table {
+	t := report.NewTable("bench", "metric", "speedup", "classified")
+	for _, p := range res.Points {
+		ok := "ok"
+		if (p.Metric < res.Threshold) != (p.Speedup >= 1) {
+			ok = "MISPREDICTED"
+		}
+		t.AddRow(p.Bench, fmt.Sprintf("%.4f", p.Metric), fmt.Sprintf("%.2f", p.Speedup), ok)
+	}
+	return t
+}
+
 // ablation runs the metric-ablation and baseline-predictor study on the
 // single-chip POWER7 set.
 func (r *runner) ablation(ctx context.Context) {
@@ -400,15 +385,7 @@ func (r *runner) portability(ctx context.Context) {
 	res := experiments.Portability(ctx, m)
 	for _, fr := range []experiments.FigResult{res.Smt8VsSmt1, res.Smt8VsSmt4} {
 		fmt.Printf("== Portability: %s ==\n", fr.Title)
-		t := report.NewTable("bench", "metric", "speedup", "classified")
-		for _, p := range fr.Points {
-			ok := "ok"
-			if (p.Metric < fr.Threshold) != (p.Speedup >= 1) {
-				ok = "MISPREDICTED"
-			}
-			t.AddRow(p.Bench, fmt.Sprintf("%.4f", p.Metric), fmt.Sprintf("%.2f", p.Speedup), ok)
-		}
-		fmt.Println(t)
+		fmt.Println(pointTable(fr))
 		fmt.Printf("gini threshold %.4f: success rate %.0f%%; mispredicted: %v\n\n",
 			fr.Threshold, 100*fr.Accuracy, fr.Misclassified)
 	}

@@ -9,19 +9,17 @@ import (
 	"repro/internal/workload"
 )
 
-// TestBenchmarkListsResolve checks every figure's benchmark list against the
-// workload library.
+// TestBenchmarkListsResolve checks every benchmark list against the
+// workload library: each row of Figures, Figs. 1 and 7, and the
+// sensitivity study's.
 func TestBenchmarkListsResolve(t *testing.T) {
 	lists := map[string][]string{
-		"P7":    P7Benchmarks,
-		"Fig11": Fig11Benchmarks,
-		"I7":    I7Benchmarks,
-		"Fig12": Fig12Benchmarks,
-		"Fig13": Fig13Benchmarks,
-		"Fig14": Fig14Benchmarks,
-		"Fig15": Fig15Benchmarks,
-		"Fig1":  Fig1Benchmarks,
-		"Fig7":  Fig7Benchmarks,
+		"Fig1":        Fig1Benchmarks,
+		"Fig7":        Fig7Benchmarks,
+		"sensitivity": SensitivityBenchmarks,
+	}
+	for _, f := range Figures {
+		lists[f.ID] = f.Benches
 	}
 	for name, list := range lists {
 		if len(list) == 0 {
@@ -148,10 +146,11 @@ func TestSpeedupDefinition(t *testing.T) {
 func TestFig6HeadlineClaims(t *testing.T) {
 	skipHeavySim(t)
 	m := NewMatrix(P7OneChip, DefaultSeed)
-	subset := []string{"EP", "Blackscholes", "Fluidanimate", "Stream", "SSCA2", "SPECjbb_contention", "Dedup", "Swim"}
-	res := scatter(context.Background(), m, "fig6-subset", "subset", subset, 4, 4, 1)
-	if len(res.Points) != len(subset) {
-		t.Fatalf("%d points, want %d", len(res.Points), len(subset))
+	f := fig6
+	f.Benches = []string{"EP", "Blackscholes", "Fluidanimate", "Stream", "SSCA2", "SPECjbb_contention", "Dedup", "Swim"}
+	res := f.Run(context.Background(), m)
+	if len(res.Points) != len(f.Benches) {
+		t.Fatalf("%d points, want %d", len(res.Points), len(f.Benches))
 	}
 	if res.Accuracy < 0.85 {
 		t.Fatalf("subset success rate %.2f, want >= 0.85 (paper: 0.93)", res.Accuracy)
@@ -223,12 +222,14 @@ func TestFig2NoStrongCorrelation(t *testing.T) {
 }
 
 func TestAmbiguousBand(t *testing.T) {
-	// Synthetic matrix-free check through the scatter helper is not
-	// possible (it needs cells), so verify the band arithmetic on a tiny
-	// simulated subset instead.
+	// Synthetic matrix-free check through Figure.Run is not possible (it
+	// needs cells), so verify the band arithmetic on a tiny simulated
+	// subset instead.
 	skipHeavySim(t)
 	m := NewMatrix(P7OneChip, DefaultSeed)
-	res := scatter(context.Background(), m, "band", "band", []string{"EP", "Stream"}, 4, 4, 1)
+	f := fig6
+	f.Benches = []string{"EP", "Stream"}
+	res := f.Run(context.Background(), m)
 	// EP (winner, low metric) and Stream (loser, high metric) separate
 	// perfectly: the band must be empty.
 	if res.AmbiguousLo <= res.AmbiguousHi {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
@@ -54,16 +55,81 @@ type FigResult struct {
 	AmbiguousLo, AmbiguousHi float64
 }
 
-// scatter builds a metric-vs-speedup figure from a matrix.
-func scatter(ctx context.Context, m *Matrix, id, title string, benches []string, metricAt, hi, lo int) FigResult {
-	r := FigResult{ID: id, Title: title, MetricAt: metricAt, SpeedupHi: hi, SpeedupLo: lo}
+// Figure is one metric-vs-speedup scatter figure: the speedup between two
+// SMT levels plotted against SMTsm read at one level, over a benchmark set
+// run on one system.
+type Figure struct {
+	// ID and Title identify the figure ("fig6", ...).
+	ID, Title string
+	// Sys is the system whose runs the figure plots.
+	Sys System
+	// Benches is the figure's benchmark set, in the paper's label order.
+	Benches []string
+	// MetricAt is the SMT level the metric is read at; Hi and Lo are the
+	// speedup pair, wall(Lo)/wall(Hi).
+	MetricAt, Hi, Lo int
+}
+
+// fig6 is the paper's headline result (93% prediction success). Figs. 2,
+// 16 and 17 and the sensitivity study read its cells.
+var fig6 = Figure{"fig6", "SMT4/SMT1 speedup vs metric @SMT4 (POWER7, 1 chip)", P7OneChip, P7Benchmarks, 4, 4, 1}
+
+// The portability scatters validate the metric on the GenericSMT8 model,
+// at the deepest level and at the intermediate SMT8/SMT4 decision.
+var (
+	smt8v1 = Figure{"smt8v1", "SMT8/SMT1 speedup vs metric @SMT8 (GenericSMT8)", SMT8OneChip, PortabilityBenchmarks, 8, 8, 1}
+	smt8v4 = Figure{"smt8v4", "SMT8/SMT4 speedup vs metric @SMT8 (GenericSMT8)", SMT8OneChip, PortabilityBenchmarks, 8, 8, 4}
+)
+
+// Figures is the table of scatter figures: the paper's Figs. 6 and 8-15,
+// then the two portability scatters.
+var Figures = []Figure{
+	fig6,
+	{"fig8", "SMT4/SMT2 speedup vs metric @SMT4 (POWER7, 1 chip)", P7OneChip, P7Benchmarks, 4, 4, 2},
+	// A band of metric values in which no prediction is possible.
+	{"fig9", "SMT2/SMT1 speedup vs metric @SMT2 (POWER7, 1 chip)", P7OneChip, P7Benchmarks, 2, 2, 1},
+	// 86% success; Streamcluster is the expected outlier.
+	{"fig10", "SMT2/SMT1 speedup vs metric @SMT2 (Core i7)", I7OneChip, I7Benchmarks, 2, 2, 1},
+	// Read at SMT1, the metric fails to predict, on both systems.
+	{"fig11", "SMT4/SMT1 speedup vs metric @SMT1 (POWER7, 1 chip)", P7OneChip, Fig11Benchmarks, 1, 4, 1},
+	{"fig12", "SMT2/SMT1 speedup vs metric @SMT1 (Core i7)", I7OneChip, Fig12Benchmarks, 1, 2, 1},
+	// Two chips: more mispredictions and more SMT1-preferring applications
+	// than Fig. 6; at SMT2 prediction is as ineffective as on one chip.
+	{"fig13", "SMT4/SMT1 speedup vs metric @SMT4 (POWER7, 2 chips)", P7TwoChip, Fig13Benchmarks, 4, 4, 1},
+	{"fig14", "SMT4/SMT2 speedup vs metric @SMT4 (POWER7, 2 chips)", P7TwoChip, Fig14Benchmarks, 4, 4, 2},
+	{"fig15", "SMT2/SMT1 speedup vs metric @SMT2 (POWER7, 2 chips)", P7TwoChip, Fig15Benchmarks, 2, 2, 1},
+	smt8v1,
+	smt8v4,
+}
+
+// ScatterFigure returns the row of Figures that plots the paper's figure
+// fig ("6", "8" ... "15").
+func ScatterFigure(fig string) (Figure, error) {
+	for _, f := range Figures {
+		if f.ID == "fig"+fig {
+			return f, nil
+		}
+	}
+	return Figure{}, fmt.Errorf("experiments: unknown figure %q", fig)
+}
+
+// levels returns the SMT levels the figure reads, ascending.
+func (f Figure) levels() []int {
+	l := []int{f.MetricAt, f.Hi, f.Lo}
+	slices.Sort(l)
+	return slices.Compact(l)
+}
+
+// Run builds the figure from a run matrix of its system.
+func (f Figure) Run(ctx context.Context, m *Matrix) FigResult {
+	r := FigResult{ID: f.ID, Title: f.Title, MetricAt: f.MetricAt, SpeedupHi: f.Hi, SpeedupLo: f.Lo}
 	var pts []threshold.Point
-	for _, b := range benches {
-		cell := m.Cell(ctx, b, metricAt)
+	for _, b := range f.Benches {
+		cell := m.Cell(ctx, b, f.MetricAt)
 		if cell.Err != nil {
 			continue
 		}
-		sp := m.Speedup(ctx, b, hi, lo)
+		sp := m.Speedup(ctx, b, f.Hi, f.Lo)
 		if sp <= 0 {
 			continue
 		}
@@ -113,67 +179,6 @@ func scatter(ctx context.Context, m *Matrix, id, title string, benches []string,
 	return r
 }
 
-// Fig6 reproduces Fig. 6: SMT4/SMT1 speedup vs SMTsm@SMT4 on one POWER7
-// chip — the paper's headline result (93% prediction success).
-func Fig6(ctx context.Context, m *Matrix) FigResult {
-	return scatter(ctx, m, "fig6", "SMT4/SMT1 speedup vs metric @SMT4 (POWER7, 1 chip)",
-		P7Benchmarks, 4, 4, 1)
-}
-
-// Fig8 reproduces Fig. 8: SMT4/SMT2 speedup vs SMTsm@SMT4.
-func Fig8(ctx context.Context, m *Matrix) FigResult {
-	return scatter(ctx, m, "fig8", "SMT4/SMT2 speedup vs metric @SMT4 (POWER7, 1 chip)",
-		P7Benchmarks, 4, 4, 2)
-}
-
-// Fig9 reproduces Fig. 9: SMT2/SMT1 speedup vs SMTsm@SMT2, where the paper
-// finds a band of metric values in which no prediction is possible.
-func Fig9(ctx context.Context, m *Matrix) FigResult {
-	return scatter(ctx, m, "fig9", "SMT2/SMT1 speedup vs metric @SMT2 (POWER7, 1 chip)",
-		P7Benchmarks, 2, 2, 1)
-}
-
-// Fig10 reproduces Fig. 10: SMT2/SMT1 speedup vs SMTsm@SMT2 on the Nehalem
-// system (86% success; Streamcluster is the expected outlier).
-func Fig10(ctx context.Context, m *Matrix) FigResult {
-	return scatter(ctx, m, "fig10", "SMT2/SMT1 speedup vs metric @SMT2 (Core i7)",
-		I7Benchmarks, 2, 2, 1)
-}
-
-// Fig11 reproduces Fig. 11: the metric measured at SMT1 fails to predict the
-// SMT4/SMT1 speedup (POWER7).
-func Fig11(ctx context.Context, m *Matrix) FigResult {
-	return scatter(ctx, m, "fig11", "SMT4/SMT1 speedup vs metric @SMT1 (POWER7, 1 chip)",
-		Fig11Benchmarks, 1, 4, 1)
-}
-
-// Fig12 reproduces Fig. 12: the metric measured at SMT1 fails on Nehalem
-// too.
-func Fig12(ctx context.Context, m *Matrix) FigResult {
-	return scatter(ctx, m, "fig12", "SMT2/SMT1 speedup vs metric @SMT1 (Core i7)",
-		Fig12Benchmarks, 1, 2, 1)
-}
-
-// Fig13 reproduces Fig. 13: SMT4/SMT1 vs SMTsm@SMT4 on two chips (16 cores):
-// more mispredictions and more SMT1-preferring applications than Fig. 6.
-func Fig13(ctx context.Context, m *Matrix) FigResult {
-	return scatter(ctx, m, "fig13", "SMT4/SMT1 speedup vs metric @SMT4 (POWER7, 2 chips)",
-		Fig13Benchmarks, 4, 4, 1)
-}
-
-// Fig14 reproduces Fig. 14: SMT4/SMT2 vs SMTsm@SMT4 on two chips.
-func Fig14(ctx context.Context, m *Matrix) FigResult {
-	return scatter(ctx, m, "fig14", "SMT4/SMT2 speedup vs metric @SMT4 (POWER7, 2 chips)",
-		Fig14Benchmarks, 4, 4, 2)
-}
-
-// Fig15 reproduces Fig. 15: SMT2/SMT1 vs SMTsm@SMT2 on two chips
-// (prediction ineffective, as in the single-chip case).
-func Fig15(ctx context.Context, m *Matrix) FigResult {
-	return scatter(ctx, m, "fig15", "SMT2/SMT1 speedup vs metric @SMT2 (POWER7, 2 chips)",
-		Fig15Benchmarks, 2, 2, 1)
-}
-
 // Fig1Result is the data behind Fig. 1: per-benchmark performance at the
 // architecture's deepest SMT level normalised to SMT1.
 type Fig1Result struct {
@@ -218,9 +223,9 @@ type Fig2Result struct {
 	Correlations [4]float64
 }
 
-// Fig2 reproduces Fig. 2's scatter panels.
+// Fig2 reproduces Fig. 2's scatter panels over Fig. 6's benchmarks.
 func Fig2(ctx context.Context, m *Matrix) Fig2Result {
-	return fig2Subset(ctx, m, P7Benchmarks)
+	return fig2Subset(ctx, m, fig6.Benches)
 }
 
 // fig2Subset computes the Fig. 2 statistics over a benchmark subset.
@@ -300,13 +305,13 @@ func Fig7Of(ctx context.Context, m *Matrix, benches []string) []Fig7Row {
 // Fig16 reproduces Fig. 16: the Gini-impurity curve over candidate
 // separators for the Fig. 6 data.
 func Fig16(ctx context.Context, m *Matrix) (threshold.GiniResult, error) {
-	return threshold.GiniSearch(figPoints(Fig6(ctx, m)))
+	return threshold.GiniSearch(figPoints(fig6.Run(ctx, m)))
 }
 
 // Fig17 reproduces Fig. 17: the average-PPI curve over candidate thresholds
 // for the Fig. 6 data.
 func Fig17(ctx context.Context, m *Matrix) (threshold.PPIResult, error) {
-	return threshold.PPISearch(figPoints(Fig6(ctx, m)))
+	return threshold.PPISearch(figPoints(fig6.Run(ctx, m)))
 }
 
 // figPoints converts figure points to threshold observations.
@@ -320,34 +325,21 @@ func figPoints(r FigResult) []threshold.Point {
 
 // CellsFor returns exactly the (bench, level) cells a figure needs, for
 // prefetching: the figure's own benchmark list, and only the SMT levels its
-// metric and speedup axes read.
+// metric and speedup axes read. Figs. 2, 16 and 17 read Fig. 6's cells.
 func CellsFor(fig string) (benches []string, levels []int, sys System, err error) {
 	switch fig {
 	case "1":
 		return Fig1Benchmarks, []int{1, 4}, P7OneChip, nil
 	case "7":
 		return Fig7Benchmarks, []int{1, 4}, P7OneChip, nil
-	case "2", "6", "16", "17":
-		return P7Benchmarks, []int{1, 4}, P7OneChip, nil
-	case "8":
-		return P7Benchmarks, []int{2, 4}, P7OneChip, nil
-	case "9":
-		return P7Benchmarks, []int{1, 2}, P7OneChip, nil
-	case "11":
-		return Fig11Benchmarks, []int{1, 4}, P7OneChip, nil
-	case "10":
-		return I7Benchmarks, []int{1, 2}, I7OneChip, nil
-	case "12":
-		return Fig12Benchmarks, []int{1, 2}, I7OneChip, nil
-	case "13":
-		return Fig13Benchmarks, []int{1, 4}, P7TwoChip, nil
-	case "14":
-		return Fig14Benchmarks, []int{2, 4}, P7TwoChip, nil
-	case "15":
-		return Fig15Benchmarks, []int{1, 2}, P7TwoChip, nil
-	default:
-		return nil, nil, System{}, fmt.Errorf("experiments: unknown figure %q", fig)
+	case "2", "16", "17":
+		fig = "6"
 	}
+	f, err := ScatterFigure(fig)
+	if err != nil {
+		return nil, nil, System{}, err
+	}
+	return f.Benches, f.levels(), f.Sys, nil
 }
 
 // union merges benchmark lists preserving first-seen order.
@@ -374,11 +366,22 @@ type FigureCells struct {
 
 // AllFigureCells returns the cell sets that cover every table and figure of
 // the paper — the full measurement campaign, deduplicated per system so a
-// parallel sweep fills each cell exactly once.
+// parallel sweep fills each cell exactly once. Each of the paper's systems
+// gets the union of its rows of Figures, in row order; Figs. 1 and 7 read
+// a subset of Fig. 6's cells.
 func AllFigureCells() []FigureCells {
-	return []FigureCells{
-		{Sys: P7OneChip, Benches: P7Benchmarks, SMTs: []int{1, 2, 4}},
-		{Sys: I7OneChip, Benches: union(I7Benchmarks, Fig12Benchmarks), SMTs: []int{1, 2}},
-		{Sys: P7TwoChip, Benches: union(Fig13Benchmarks, Fig14Benchmarks, Fig15Benchmarks), SMTs: []int{1, 2, 4}},
+	var out []FigureCells
+	for _, sys := range []System{P7OneChip, I7OneChip, P7TwoChip} {
+		fc := FigureCells{Sys: sys}
+		for _, f := range Figures {
+			if f.Sys.Name == sys.Name {
+				fc.Benches = union(fc.Benches, f.Benches)
+				fc.SMTs = append(fc.SMTs, f.levels()...)
+			}
+		}
+		slices.Sort(fc.SMTs)
+		fc.SMTs = slices.Compact(fc.SMTs)
+		out = append(out, fc)
 	}
+	return out
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"strings"
 	"testing"
 
 	"repro/internal/golden"
@@ -72,34 +73,38 @@ func TestGoldenFigures(t *testing.T) {
 	golden.Assert(t, "fig2", fig2Subset(context.Background(), p7, goldenP7))
 	golden.Assert(t, "fig7", Fig7Of(context.Background(), p7, goldenFig7))
 
-	// The scatter figures, each with its paper axes on its golden subset.
-	fig6 := scatter(context.Background(), p7, "fig6", "golden subset of Fig. 6", goldenP7, 4, 4, 1)
-	golden.Assert(t, "fig6", fig6)
-	for _, f := range []struct {
-		name       string
-		m          *Matrix
-		benches    []string
-		at, hi, lo int
+	// The scatter figures: each paper row on its own system's matrix and
+	// golden subset. The portability rows have no golden file.
+	subsets := map[string]struct {
+		m       *Matrix
+		benches []string
 	}{
-		{"fig8", p7, goldenP7, 4, 4, 2},
-		{"fig9", p7, goldenP7, 2, 2, 1},
-		{"fig10", i7, goldenI7, 2, 2, 1},
-		{"fig11", p7, goldenP7, 1, 4, 1},
-		{"fig12", i7, goldenI7, 1, 2, 1},
-		{"fig13", x2, goldenX2, 4, 4, 1},
-		{"fig14", x2, goldenX2, 4, 4, 2},
-		{"fig15", x2, goldenX2, 2, 2, 1},
-	} {
-		golden.Assert(t, f.name, scatter(context.Background(), f.m, f.name, "golden subset of Fig. "+f.name[3:], f.benches, f.at, f.hi, f.lo))
+		P7OneChip.Name: {p7, goldenP7},
+		I7OneChip.Name: {i7, goldenI7},
+		P7TwoChip.Name: {x2, goldenX2},
+	}
+	var golden6 FigResult
+	for _, f := range Figures {
+		sub, ok := subsets[f.Sys.Name]
+		if !ok {
+			continue
+		}
+		f.Benches = sub.benches
+		f.Title = "golden subset of Fig. " + strings.TrimPrefix(f.ID, "fig")
+		res := f.Run(context.Background(), sub.m)
+		golden.Assert(t, f.ID, res)
+		if f.ID == fig6.ID {
+			golden6 = res
+		}
 	}
 
 	// Figs. 16-17: the threshold-search curves over the Fig. 6 points.
-	if g, err := threshold.GiniSearch(figPoints(fig6)); err != nil {
+	if g, err := threshold.GiniSearch(figPoints(golden6)); err != nil {
 		t.Errorf("fig16: %v", err)
 	} else {
 		golden.Assert(t, "fig16", g)
 	}
-	if p, err := threshold.PPISearch(figPoints(fig6)); err != nil {
+	if p, err := threshold.PPISearch(figPoints(golden6)); err != nil {
 		t.Errorf("fig17: %v", err)
 	} else {
 		golden.Assert(t, "fig17", p)

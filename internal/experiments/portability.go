@@ -35,10 +35,5 @@ type PortabilityResult struct {
 // SMT8-preferring from SMT1-preferring workloads without any
 // architecture-specific tuning beyond the ideal-mix description.
 func Portability(ctx context.Context, m *Matrix) PortabilityResult {
-	return PortabilityResult{
-		Smt8VsSmt1: scatter(ctx, m, "smt8v1", "SMT8/SMT1 speedup vs metric @SMT8 (GenericSMT8)",
-			PortabilityBenchmarks, 8, 8, 1),
-		Smt8VsSmt4: scatter(ctx, m, "smt8v4", "SMT8/SMT4 speedup vs metric @SMT8 (GenericSMT8)",
-			PortabilityBenchmarks, 8, 8, 4),
-	}
+	return PortabilityResult{Smt8VsSmt1: smt8v1.Run(ctx, m), Smt8VsSmt4: smt8v4.Run(ctx, m)}
 }

@@ -15,23 +15,12 @@ func TestSMT8SystemValid(t *testing.T) {
 	}
 }
 
-func TestPortabilityBenchmarksResolve(t *testing.T) {
-	for _, b := range PortabilityBenchmarks {
-		if _, _, _, err := CellsFor("6"); err != nil { // sanity on helper
-			t.Fatal(err)
-		}
-		if b == "" {
-			t.Fatal("empty benchmark name")
-		}
-	}
-}
-
 func TestPortabilityStudy(t *testing.T) {
 	skipHeavySim(t)
-	m := NewMatrix(SMT8OneChip, DefaultSeed)
+	f := smt8v1
 	// A reduced set keeps this test to tens of seconds.
-	res := scatter(context.Background(), m, "smt8-subset", "subset",
-		[]string{"EP", "Blackscholes", "Stream", "SPECjbb_contention", "SSCA2", "Swim"}, 8, 8, 1)
+	f.Benches = []string{"EP", "Blackscholes", "Stream", "SPECjbb_contention", "SSCA2", "Swim"}
+	res := f.Run(context.Background(), NewMatrix(f.Sys, DefaultSeed))
 	if len(res.Points) != 6 {
 		t.Fatalf("%d points, want 6", len(res.Points))
 	}

@@ -59,8 +59,9 @@ type SensitivityRow struct {
 	Separable bool
 }
 
-// Sensitivity runs the Fig. 6 methodology per architecture variant; with no
-// explicit variants it runs the default set. The variants' matrices fill
+// Sensitivity runs Fig. 6's row, over SensitivityBenchmarks, on each
+// architecture variant of its system; with no explicit variants it runs the
+// default set. The variants' matrices fill
 // through one shared worker pool, so the study parallelises across variants
 // as well as across cells. A canceled ctx cuts the campaign short and is
 // returned alongside the rows computed from whatever cells completed.
@@ -75,16 +76,16 @@ func Sensitivity(ctx context.Context, seed uint64, variants ...SensitivityVarian
 	}
 	var entries []entry
 	var specs []SweepSpec
+	f := fig6
+	f.Benches = SensitivityBenchmarks
 	for _, v := range variants {
 		v := v
-		sys := System{
-			Name: "POWER7-" + v.Name,
-			Arch: func() *arch.Desc {
-				d := arch.POWER7()
-				v.Mutate(d)
-				return d
-			},
-			Chips: 1,
+		sys := f.Sys
+		sys.Name = "POWER7-" + v.Name
+		sys.Arch = func() *arch.Desc {
+			d := arch.POWER7()
+			v.Mutate(d)
+			return d
 		}
 		if err := sys.Arch().Validate(); err != nil {
 			entries = append(entries, entry{v: v, invalid: err})
@@ -92,7 +93,7 @@ func Sensitivity(ctx context.Context, seed uint64, variants ...SensitivityVarian
 		}
 		m := NewMatrix(sys, seed)
 		entries = append(entries, entry{v: v, m: m})
-		specs = append(specs, SweepSpec{Matrix: m, Benches: SensitivityBenchmarks, SMTs: []int{1, 4}})
+		specs = append(specs, SweepSpec{Matrix: m, Benches: f.Benches, SMTs: f.levels()})
 	}
 	r := Runner{}
 	_, err := r.Campaign(ctx, specs)
@@ -103,7 +104,7 @@ func Sensitivity(ctx context.Context, seed uint64, variants ...SensitivityVarian
 			rows = append(rows, SensitivityRow{Variant: e.v.Name + " (invalid: " + e.invalid.Error() + ")"})
 			continue
 		}
-		res := scatter(ctx, e.m, "sens", e.v.Name, SensitivityBenchmarks, 4, 4, 1)
+		res := f.Run(ctx, e.m)
 		rows = append(rows, SensitivityRow{
 			Variant:   e.v.Name,
 			Threshold: res.Threshold,
