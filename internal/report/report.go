@@ -114,28 +114,7 @@ func (s *Scatter) String() string {
 	if len(s.Points) == 0 {
 		return s.Title + "\n(no points)\n"
 	}
-	minX, maxX := s.Points[0].X, s.Points[0].X
-	minY, maxY := s.Points[0].Y, s.Points[0].Y
-	for _, p := range s.Points {
-		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
-		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
-	}
-	if s.Threshold > 0 {
-		minX, maxX = math.Min(minX, s.Threshold), math.Max(maxX, s.Threshold)
-	}
-	if s.BreakEvenY > 0 {
-		minY, maxY = math.Min(minY, s.BreakEvenY), math.Max(maxY, s.BreakEvenY)
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	// Pad ranges slightly so edge points are visible.
-	padX, padY := (maxX-minX)*0.04, (maxY-minY)*0.06
-	minX, maxX = minX-padX, maxX+padX
-	minY, maxY = minY-padY, maxY+padY
+	minX, maxX, minY, maxY := s.ranges(0.04, 0.06)
 
 	grid := make([][]byte, h)
 	for r := range grid {
@@ -183,6 +162,33 @@ func (s *Scatter) String() string {
 		fmt.Fprintf(&b, "%9s('|' marks the threshold at %.4g)\n", "", s.Threshold)
 	}
 	return b.String()
+}
+
+// ranges returns the plot's value ranges: the points' extent, widened to
+// take in the threshold and break-even lines and to a unit span where it
+// is flat, then padded on each side by the fractions padX and padY of the
+// span so edge points stay visible. It needs at least one point.
+func (s *Scatter) ranges(padX, padY float64) (minX, maxX, minY, maxY float64) {
+	minX, maxX = s.Points[0].X, s.Points[0].X
+	minY, maxY = s.Points[0].Y, s.Points[0].Y
+	for _, p := range s.Points {
+		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
+		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
+	}
+	if s.Threshold > 0 {
+		minX, maxX = math.Min(minX, s.Threshold), math.Max(maxX, s.Threshold)
+	}
+	if s.BreakEvenY > 0 {
+		minY, maxY = math.Min(minY, s.BreakEvenY), math.Max(maxY, s.BreakEvenY)
+	}
+	if maxX == minX {
+		maxX = minX + 1
+	}
+	if maxY == minY {
+		maxY = minY + 1
+	}
+	dx, dy := (maxX-minX)*padX, (maxY-minY)*padY
+	return minX - dx, maxX + dx, minY - dy, maxY + dy
 }
 
 func clamp(v, lo, hi int) int {

@@ -2,14 +2,13 @@ package report
 
 import (
 	"fmt"
-	"math"
 	"strings"
 )
 
 // SVG rendering: the same figures the terminal plots show, as standalone
 // SVG documents a browser can display. Everything is generated with the
-// standard library; the coordinate mathematics mirrors the ASCII renderer
-// so the two views always agree.
+// standard library; the value ranges come from the ASCII renderer's
+// Scatter.ranges, so the two views always agree.
 
 // svgTheme holds the colours used by the SVG renderers.
 var svgTheme = struct {
@@ -26,7 +25,11 @@ var svgTheme = struct {
 
 // SVG renders the scatter as a complete SVG document. Points carry their
 // labels as hover tooltips (<title> elements).
-func (s *Scatter) SVG() string {
+func (s *Scatter) SVG() string { return s.svg(false) }
+
+// svg renders the scatter's document; with line set, a polyline also joins
+// the points in order.
+func (s *Scatter) svg(line bool) string {
 	const (
 		w, h                   = 720, 480
 		padL, padR, padT, padB = 70, 20, 40, 60
@@ -47,28 +50,7 @@ func (s *Scatter) SVG() string {
 		return b.String()
 	}
 
-	minX, maxX := s.Points[0].X, s.Points[0].X
-	minY, maxY := s.Points[0].Y, s.Points[0].Y
-	for _, p := range s.Points {
-		minX, maxX = math.Min(minX, p.X), math.Max(maxX, p.X)
-		minY, maxY = math.Min(minY, p.Y), math.Max(maxY, p.Y)
-	}
-	if s.Threshold > 0 {
-		minX, maxX = math.Min(minX, s.Threshold), math.Max(maxX, s.Threshold)
-	}
-	if s.BreakEvenY > 0 {
-		minY, maxY = math.Min(minY, s.BreakEvenY), math.Max(maxY, s.BreakEvenY)
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	padX, padY := (maxX-minX)*0.05, (maxY-minY)*0.07
-	minX, maxX = minX-padX, maxX+padX
-	minY, maxY = minY-padY, maxY+padY
-
+	minX, maxX, minY, maxY := s.ranges(0.05, 0.07)
 	px := func(x float64) float64 { return float64(padL) + (x-minX)/(maxX-minX)*plotW }
 	py := func(y float64) float64 { return float64(padT) + (maxY-y)/(maxY-minY)*plotH }
 
@@ -120,6 +102,14 @@ func (s *Scatter) SVG() string {
 		fmt.Fprintf(&b, `<text x="16" y="%d" font-family="sans-serif" font-size="13" fill="%s" text-anchor="middle" transform="rotate(-90 16 %d)">%s</text>`+"\n",
 			mid, svgTheme.text, mid, xmlEscape(s.YLabel))
 	}
+	if line && len(s.Points) > 1 {
+		pts := make([]string, len(s.Points))
+		for i, p := range s.Points {
+			pts[i] = fmt.Sprintf("%.1f,%.1f", px(p.X), py(p.Y))
+		}
+		fmt.Fprintf(&b, `<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>`+"\n",
+			strings.Join(pts, " "), svgTheme.point)
+	}
 	b.WriteString("</svg>\n")
 	return b.String()
 }
@@ -170,41 +160,7 @@ func CurveSVG(title, xlabel, ylabel string, xs, ys []float64) string {
 	for i := range xs {
 		sc.Points = append(sc.Points, ScatterPoint{X: xs[i], Y: ys[i]})
 	}
-	// Reuse the scatter frame, then overlay the polyline.
-	doc := sc.SVG()
-	if len(xs) < 2 {
-		return doc
-	}
-	// Rebuild the transform exactly as Scatter.SVG does.
-	const (
-		w, h                   = 720, 480
-		padL, padR, padT, padB = 70, 20, 40, 60
-	)
-	plotW, plotH := float64(w-padL-padR), float64(h-padT-padB)
-	minX, maxX := xs[0], xs[0]
-	minY, maxY := ys[0], ys[0]
-	for i := range xs {
-		minX, maxX = math.Min(minX, xs[i]), math.Max(maxX, xs[i])
-		minY, maxY = math.Min(minY, ys[i]), math.Max(maxY, ys[i])
-	}
-	if maxX == minX {
-		maxX = minX + 1
-	}
-	if maxY == minY {
-		maxY = minY + 1
-	}
-	padX, padY := (maxX-minX)*0.05, (maxY-minY)*0.07
-	minX, maxX = minX-padX, maxX+padX
-	minY, maxY = minY-padY, maxY+padY
-	var pts []string
-	for i := range xs {
-		px := float64(padL) + (xs[i]-minX)/(maxX-minX)*plotW
-		py := float64(padT) + (maxY-ys[i])/(maxY-minY)*plotH
-		pts = append(pts, fmt.Sprintf("%.1f,%.1f", px, py))
-	}
-	line := fmt.Sprintf(`<polyline points="%s" fill="none" stroke="%s" stroke-width="1.5"/>`+"\n",
-		strings.Join(pts, " "), svgTheme.point)
-	return strings.Replace(doc, "</svg>\n", line+"</svg>\n", 1)
+	return sc.svg(true)
 }
 
 // xmlEscape escapes the five XML special characters.
