@@ -297,134 +297,94 @@ const (
 	stepAdvance
 )
 
-// ComputeLookahead implements sched's computeLookahead extension: it walks
-// the iteration state machine from the thread's current position WITHOUT
-// mutating it, counting the compute instructions guaranteed to be emitted
-// before any boundary whose outcome depends on runtime state. Lock-release
-// steps pass through (a release emits nothing and never idles); the walk
-// stops at lock-acquire iterations (acquisition may spin or block),
-// barriers, serial phases, sleeps, and the end of the thread's work. The
-// walk must mirror NextSegment's control flow exactly — it is the
-// macro-stepping guarantee the scan-vs-event equivalence suite leans on.
-func (ts *threadScript) ComputeLookahead(max int64) int64 {
+// next is the iteration state machine's one transition: from position
+// (iter, step) it finds the next segment the thread runs and the position
+// after it, or ok false once the thread's work is done. It mutates nothing,
+// so NextSegment commits it and ComputeLookahead walks it.
+func (ts *threadScript) next(iter int64, step int) (seg sched.Segment, nextIter int64, nextStep int, ok bool) {
 	sp := ts.inst.Spec
-	var n int64
-	iter, step := ts.iter, ts.step
-	for n < max && iter < ts.iters {
+	for {
+		if iter >= ts.iters {
+			return sched.Segment{}, iter, step, false
+		}
 		switch step {
 		case stepLockAcquire:
 			if sp.LockEvery > 0 && iter%int64(sp.LockEvery) == 0 {
-				return n
+				return sched.Segment{Kind: sched.SegLockAcquire, Lock: ts.inst.lock}, iter, stepCrit, true
 			}
+			// No lock this iteration: skip the critical section too.
 			step = stepMain
 		case stepCrit:
-			// Only reachable while waiting on the acquire; unreachable in
-			// compute mode, but stop conservatively if asked.
-			return n
+			return sched.Segment{Kind: sched.SegCompute, N: int64(sp.CritLen), Gen: ts.gen}, iter, stepLockRelease, true
 		case stepLockRelease:
-			step = stepMain
+			return sched.Segment{Kind: sched.SegLockRelease, Lock: ts.inst.lock}, iter, stepMain, true
 		case stepMain:
 			step = stepBarrier
-			m := int64(sp.IterLen)
+			n := int64(sp.IterLen)
 			if sp.LockEvery > 0 && iter%int64(sp.LockEvery) == 0 {
-				m -= int64(sp.CritLen)
+				n -= int64(sp.CritLen)
 			}
-			if m > 0 {
-				n += m
+			if n > 0 {
+				return sched.Segment{Kind: sched.SegCompute, N: n, Gen: ts.gen}, iter, step, true
 			}
 		case stepBarrier:
-			if sp.BarrierEvery > 0 && (iter+1)%int64(sp.BarrierEvery) == 0 {
-				return n
-			}
 			step = stepSerialEnter
+			if sp.BarrierEvery > 0 && (iter+1)%int64(sp.BarrierEvery) == 0 {
+				return sched.Segment{Kind: sched.SegBarrier, Barrier: ts.inst.barrier}, iter, step, true
+			}
 		case stepSerialEnter:
 			if sp.SerialEvery > 0 && (iter+1)%int64(sp.SerialEvery) == 0 {
-				return n
+				return sched.Segment{Kind: sched.SegBarrier, Barrier: ts.inst.barrier}, iter, stepSerialWork, true
 			}
 			step = stepSleep
-		case stepSerialWork, stepSerialExit:
-			return n
-		case stepSleep:
-			if sp.SleepEvery > 0 && (iter+1)%int64(sp.SleepEvery) == 0 {
-				return n
+		case stepSerialWork:
+			step = stepSerialExit
+			if ts.threadID == 0 {
+				return sched.Segment{Kind: sched.SegCompute, N: int64(sp.SerialLen), Gen: ts.gen}, iter, step, true
 			}
+		case stepSerialExit:
+			return sched.Segment{Kind: sched.SegBarrier, Barrier: ts.inst.barrier}, iter, stepSleep, true
+		case stepSleep:
 			step = stepAdvance
+			if sp.SleepEvery > 0 && (iter+1)%int64(sp.SleepEvery) == 0 {
+				return sched.Segment{Kind: sched.SegSleep, N: sp.SleepCycles}, iter, step, true
+			}
 		case stepAdvance:
 			iter++
 			step = stepLockAcquire
 		}
 	}
-	if n > max {
-		n = max
-	}
-	return n
 }
 
-func (ts *threadScript) NextSegment(seg *sched.Segment) bool {
-	sp := ts.inst.Spec
-	for {
-		if ts.iter >= ts.iters {
-			return false
+// NextSegment implements sched.Script by committing one transition.
+func (ts *threadScript) NextSegment(seg *sched.Segment) (ok bool) {
+	*seg, ts.iter, ts.step, ok = ts.next(ts.iter, ts.step)
+	return ok
+}
+
+// ComputeLookahead implements sched's computeLookahead extension: it walks
+// the transitions from the thread's current position without committing
+// them, counting the compute instructions guaranteed to be emitted before
+// any segment whose outcome depends on runtime state. A lock release
+// passes (it emits nothing and never idles); the walk stops at a lock
+// acquire (acquisition may spin or block), a barrier, a sleep, or the end
+// of the thread's work.
+func (ts *threadScript) ComputeLookahead(max int64) int64 {
+	var n int64
+	iter, step := ts.iter, ts.step
+	for n < max {
+		seg, i, s, ok := ts.next(iter, step)
+		if !ok {
+			break
 		}
-		switch ts.step {
-		case stepLockAcquire:
-			ts.step = stepCrit
-			if sp.LockEvery > 0 && ts.iter%int64(sp.LockEvery) == 0 {
-				*seg = sched.Segment{Kind: sched.SegLockAcquire, Lock: ts.inst.lock}
-				return true
-			}
-			// No lock this iteration: skip the critical section too.
-			ts.step = stepMain
-		case stepCrit:
-			ts.step = stepLockRelease
-			*seg = sched.Segment{Kind: sched.SegCompute, N: int64(sp.CritLen), Gen: ts.gen}
-			return true
-		case stepLockRelease:
-			ts.step = stepMain
-			*seg = sched.Segment{Kind: sched.SegLockRelease, Lock: ts.inst.lock}
-			return true
-		case stepMain:
-			ts.step = stepBarrier
-			n := int64(sp.IterLen)
-			if sp.LockEvery > 0 && ts.iter%int64(sp.LockEvery) == 0 {
-				n -= int64(sp.CritLen)
-			}
-			if n > 0 {
-				*seg = sched.Segment{Kind: sched.SegCompute, N: n, Gen: ts.gen}
-				return true
-			}
-		case stepBarrier:
-			ts.step = stepSerialEnter
-			if sp.BarrierEvery > 0 && (ts.iter+1)%int64(sp.BarrierEvery) == 0 {
-				*seg = sched.Segment{Kind: sched.SegBarrier, Barrier: ts.inst.barrier}
-				return true
-			}
-		case stepSerialEnter:
-			if sp.SerialEvery > 0 && (ts.iter+1)%int64(sp.SerialEvery) == 0 {
-				ts.step = stepSerialWork
-				*seg = sched.Segment{Kind: sched.SegBarrier, Barrier: ts.inst.barrier}
-				return true
-			}
-			ts.step = stepSleep
-		case stepSerialWork:
-			ts.step = stepSerialExit
-			if ts.threadID == 0 {
-				*seg = sched.Segment{Kind: sched.SegCompute, N: int64(sp.SerialLen), Gen: ts.gen}
-				return true
-			}
-		case stepSerialExit:
-			ts.step = stepSleep
-			*seg = sched.Segment{Kind: sched.SegBarrier, Barrier: ts.inst.barrier}
-			return true
-		case stepSleep:
-			ts.step = stepAdvance
-			if sp.SleepEvery > 0 && (ts.iter+1)%int64(sp.SleepEvery) == 0 {
-				*seg = sched.Segment{Kind: sched.SegSleep, N: sp.SleepCycles}
-				return true
-			}
-		case stepAdvance:
-			ts.iter++
-			ts.step = stepLockAcquire
+		switch seg.Kind {
+		case sched.SegCompute:
+			n += seg.N
+		case sched.SegLockRelease:
+		default:
+			return n
 		}
+		iter, step = i, s
 	}
+	return min(n, max)
 }
