@@ -195,7 +195,7 @@ func post[T any](ctx context.Context, c *Client, path string, payload any) (T, e
 			return rec, nil
 		}
 		lastErr = err
-		if ctx.Err() != nil || !retryable(err) || a == c.cfg.MaxAttempts-1 {
+		if ctx.Err() != nil || !Retryable(err) || a == c.cfg.MaxAttempts-1 {
 			break
 		}
 		delay := c.backoff(a)
@@ -301,10 +301,11 @@ func decodeError(status int, raw []byte) error {
 	return &api.Error{Message: msg, Status: status}
 }
 
-// retryable reports whether an attempt error is worth retrying: an
-// api.Error that says so, or any transport-level failure that is not the
-// caller's own cancellation.
-func retryable(err error) bool {
+// Retryable reports whether a call's error is worth retrying, here or on
+// another replica: an *api.Error (wrapped or not) whose class says so, or
+// any transport-level failure that is not the caller's own cancellation or
+// deadline.
+func Retryable(err error) bool {
 	var e *api.Error
 	if errors.As(err, &e) {
 		return e.Retryable()

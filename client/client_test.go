@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync"
 	"testing"
@@ -119,6 +121,35 @@ func TestNonRetryableStopsImmediately(t *testing.T) {
 	}
 	if rt.attempts() != 1 || len(*delays) != 0 {
 		t.Fatalf("attempts %d sleeps %d, want 1 and 0", rt.attempts(), len(*delays))
+	}
+}
+
+// TestRetryable pins the one classifier the client's retry loop and the
+// router's replica fallback share.
+func TestRetryable(t *testing.T) {
+	cases := []struct {
+		name string
+		err  error
+		want bool
+	}{
+		{"rate limited", &api.Error{Code: api.CodeRateLimited, Status: 429}, true},
+		{"queue timeout", &api.Error{Code: api.CodeQueueTimeout, Status: 503}, true},
+		{"probe timeout", &api.Error{Code: api.CodeProbeTimeout, Status: 504}, true},
+		{"breaker open", &api.Error{Code: api.CodeBreakerOpen, Status: 503}, true},
+		{"no shards", &api.Error{Code: api.CodeNoShards, Status: 503}, true},
+		{"bad request", &api.Error{Code: api.CodeBadRequest, Status: 400}, false},
+		{"unknown code 429", &api.Error{Code: "future_code", Status: 429}, true},
+		{"unknown code 500", &api.Error{Code: "future_code", Status: 500}, false},
+		{"unknown code 503", &api.Error{Code: "future_code", Status: 503}, true},
+		{"transport", &url.Error{Op: "Post", URL: "http://127.0.0.1:1/v1/analyze", Err: errors.New("connection refused")}, true},
+		{"canceled", context.Canceled, false},
+		{"deadline", context.DeadlineExceeded, false},
+		{"wrapped api error", fmt.Errorf("forward: %w", &api.Error{Code: api.CodeBadRequest, Status: 400}), false},
+	}
+	for _, tc := range cases {
+		if got := Retryable(tc.err); got != tc.want {
+			t.Errorf("%s: Retryable(%v) = %v, want %v", tc.name, tc.err, got, tc.want)
+		}
 	}
 }
 

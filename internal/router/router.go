@@ -370,20 +370,6 @@ func placeRouteKey(req api.PlaceRequest) (uint64, error) {
 	return xrand.HashBytes(b), nil
 }
 
-// fallbackEligible reports whether a forward failure may be retried on the
-// next replica: transport-level failures (the shard-kill case) and
-// server-reported transient failures qualify; a failure the replica would
-// reproduce verbatim — bad request, deterministic probe failure — must
-// propagate instead, or every malformed request would burn the whole
-// replica set.
-func fallbackEligible(err error) bool {
-	var e *api.Error
-	if errors.As(err, &e) {
-		return e.Retryable()
-	}
-	return !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded)
-}
-
 // forward routes one request: it derives the replica preference order from
 // the ring, skips shards inside their failure cooldown (unless every
 // candidate is cooling down — then they are tried anyway as a last
@@ -435,7 +421,12 @@ func (rt *Router) forward(ctx context.Context, w http.ResponseWriter, key uint64
 		}
 		sh.failures.Add(1)
 		lastErr = err
-		if !fallbackEligible(err) {
+		// Transport failures (the shard-kill case) and transient shard
+		// errors fall back to the next replica. A failure every replica
+		// would reproduce verbatim (bad request, deterministic probe
+		// failure) propagates, or each malformed request would burn the
+		// whole replica set.
+		if !client.Retryable(err) {
 			rt.propagate(w, err)
 			return
 		}
