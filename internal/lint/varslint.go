@@ -21,7 +21,7 @@ import (
 //   - every exported counter name must appear in the DESIGN.md counter
 //     table (between the varslint:counters markers);
 //   - the identity families declared in DESIGN.md (such as
-//     probes_total + coalesced_total + cache_hits == requests_total) are
+//     responses_2xx + responses_4xx + responses_5xx == requests_total) are
 //     cross-referenced by name: an identity naming a var that neither the
 //     package nor the shell (which merges its keys into every daemon's
 //     document) exports is a stale contract.
@@ -282,7 +282,7 @@ type identity struct {
 // are the backtick-quoted first column of table rows; identities are lines
 // of the form
 //
-//	identity (internal/server): `probes_total` + `coalesced_total` + `cache_hits` == `requests_total`
+//	identity (internal/httpx): `responses_2xx` + `responses_4xx` + `responses_5xx` == `requests_total`
 func parseCounterTable(design []byte) (table map[string]bool, identities []identity, found bool) {
 	text := string(design)
 	start := strings.Index(text, countersBegin)

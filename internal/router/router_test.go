@@ -381,12 +381,31 @@ func TestRouterFaultOps(t *testing.T) {
 		if status != http.StatusServiceUnavailable {
 			t.Fatalf("status %d, want 503: %s", status, body)
 		}
+		// A 2xx and a 4xx beside the 5xx, for the shell's identity below.
+		resp, err := http.Get(fleet.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("healthz %d, want 200", resp.StatusCode)
+		}
+		if status, body := post(t, fleet.URL, api.PathAnalyze, api.AnalyzeRequest{Bench: "EP", Chips: 100_000_000}); status != http.StatusBadRequest {
+			t.Fatalf("status %d, want 400: %s", status, body)
+		}
 		vars := routerVars(t, fleet.URL)
 		if got := rvarInt(t, vars, "forwarded_total"); got != 0 {
 			t.Fatalf("forwarded_total = %d with every forward faulted, want 0", got)
 		}
 		if got := rvarInt(t, vars, "unroutable_total"); got < 1 {
 			t.Fatalf("unroutable_total = %d, want >= 1", got)
+		}
+		// DESIGN.md's identity: responses_2xx + responses_4xx +
+		// responses_5xx == requests_total.
+		for key, want := range map[string]int64{"responses_2xx": 1, "responses_4xx": 1, "responses_5xx": 1, "requests_total": 3} {
+			if got := rvarInt(t, vars, key); got != want {
+				t.Errorf("%s = %d, want %d", key, got, want)
+			}
 		}
 	})
 }

@@ -155,6 +155,15 @@ func TestChaosSuite(t *testing.T) {
 	if got := int(vars["degraded_total"].(float64)); got < degraded {
 		t.Errorf("degraded_total %d < client-observed %d", got, degraded)
 	}
+	// DESIGN.md's counter identities, on the live document.
+	if sum, n := varInt(t, vars, "responses_2xx")+varInt(t, vars, "responses_4xx")+varInt(t, vars, "responses_5xx"),
+		varInt(t, vars, "requests_total"); sum != n {
+		t.Errorf("responses_2xx + responses_4xx + responses_5xx = %d, requests_total %d", sum, n)
+	}
+	if sum, n := varInt(t, vars, "stale_served_total")+varInt(t, vars, "partial_served_total"),
+		varInt(t, vars, "degraded_total"); sum != n {
+		t.Errorf("stale_served_total + partial_served_total = %d, degraded_total %d", sum, n)
+	}
 	fi, ok := vars["fault_injection"].(map[string]any)
 	if !ok || len(fi) == 0 {
 		t.Fatalf("fault_injection missing from vars: %v", vars["fault_injection"])
