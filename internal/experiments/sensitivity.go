@@ -61,10 +61,10 @@ type SensitivityRow struct {
 
 // Sensitivity runs Fig. 6's row, over SensitivityBenchmarks, on each
 // architecture variant of its system; with no explicit variants it runs the
-// default set. The variants' matrices fill
-// through one shared worker pool, so the study parallelises across variants
-// as well as across cells. A canceled ctx cuts the campaign short and is
-// returned alongside the rows computed from whatever cells completed.
+// default set. The variants' matrices fill through one shared worker pool,
+// so the study parallelises across variants as well as across cells. A
+// canceled ctx cuts the campaign short and is returned alongside the rows
+// computed from whatever cells completed.
 func Sensitivity(ctx context.Context, seed uint64, variants ...SensitivityVariant) ([]SensitivityRow, error) {
 	if len(variants) == 0 {
 		variants = SensitivityVariants

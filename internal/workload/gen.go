@@ -303,10 +303,7 @@ const (
 // so NextSegment commits it and ComputeLookahead walks it.
 func (ts *threadScript) next(iter int64, step int) (seg sched.Segment, nextIter int64, nextStep int, ok bool) {
 	sp := ts.inst.Spec
-	for {
-		if iter >= ts.iters {
-			return sched.Segment{}, iter, step, false
-		}
+	for iter < ts.iters {
 		switch step {
 		case stepLockAcquire:
 			if sp.LockEvery > 0 && iter%int64(sp.LockEvery) == 0 {
@@ -319,41 +316,42 @@ func (ts *threadScript) next(iter int64, step int) (seg sched.Segment, nextIter 
 		case stepLockRelease:
 			return sched.Segment{Kind: sched.SegLockRelease, Lock: ts.inst.lock}, iter, stepMain, true
 		case stepMain:
-			step = stepBarrier
 			n := int64(sp.IterLen)
 			if sp.LockEvery > 0 && iter%int64(sp.LockEvery) == 0 {
 				n -= int64(sp.CritLen)
 			}
 			if n > 0 {
-				return sched.Segment{Kind: sched.SegCompute, N: n, Gen: ts.gen}, iter, step, true
+				return sched.Segment{Kind: sched.SegCompute, N: n, Gen: ts.gen}, iter, stepBarrier, true
 			}
+			step = stepBarrier
 		case stepBarrier:
-			step = stepSerialEnter
 			if sp.BarrierEvery > 0 && (iter+1)%int64(sp.BarrierEvery) == 0 {
-				return sched.Segment{Kind: sched.SegBarrier, Barrier: ts.inst.barrier}, iter, step, true
+				return sched.Segment{Kind: sched.SegBarrier, Barrier: ts.inst.barrier}, iter, stepSerialEnter, true
 			}
+			step = stepSerialEnter
 		case stepSerialEnter:
 			if sp.SerialEvery > 0 && (iter+1)%int64(sp.SerialEvery) == 0 {
 				return sched.Segment{Kind: sched.SegBarrier, Barrier: ts.inst.barrier}, iter, stepSerialWork, true
 			}
 			step = stepSleep
 		case stepSerialWork:
-			step = stepSerialExit
 			if ts.threadID == 0 {
-				return sched.Segment{Kind: sched.SegCompute, N: int64(sp.SerialLen), Gen: ts.gen}, iter, step, true
+				return sched.Segment{Kind: sched.SegCompute, N: int64(sp.SerialLen), Gen: ts.gen}, iter, stepSerialExit, true
 			}
+			step = stepSerialExit
 		case stepSerialExit:
 			return sched.Segment{Kind: sched.SegBarrier, Barrier: ts.inst.barrier}, iter, stepSleep, true
 		case stepSleep:
-			step = stepAdvance
 			if sp.SleepEvery > 0 && (iter+1)%int64(sp.SleepEvery) == 0 {
-				return sched.Segment{Kind: sched.SegSleep, N: sp.SleepCycles}, iter, step, true
+				return sched.Segment{Kind: sched.SegSleep, N: sp.SleepCycles}, iter, stepAdvance, true
 			}
+			step = stepAdvance
 		case stepAdvance:
 			iter++
 			step = stepLockAcquire
 		}
 	}
+	return sched.Segment{}, iter, step, false
 }
 
 // NextSegment implements sched.Script by committing one transition.
