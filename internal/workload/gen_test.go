@@ -327,10 +327,10 @@ func TestDrawThresholds(t *testing.T) {
 //
 //	go test ./internal/workload -run TestComputeRunSequences -update
 func TestComputeRunSequences(t *testing.T) {
-	const cycles = 300_000
+	const cycles = 100_000
 	every := &Spec{
 		Name: "every-step", Mix: Mix{Int: 1}, Chains: 1, WorkingSetKB: 1,
-		TotalWork: 200_000, IterLen: 1000,
+		TotalWork: 60_000, IterLen: 1000,
 		LockEvery: 3, CritLen: 100, BarrierEvery: 2,
 		SerialEvery: 5, SerialLen: 500, SleepEvery: 7, SleepCycles: 300,
 	}
