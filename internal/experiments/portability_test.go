@@ -2,7 +2,10 @@ package experiments
 
 import (
 	"context"
+	"slices"
 	"testing"
+
+	"repro/internal/workload"
 )
 
 func TestSMT8SystemValid(t *testing.T) {
@@ -12,6 +15,25 @@ func TestSMT8SystemValid(t *testing.T) {
 	}
 	if d.MaxSMT != 8 || !d.SupportsSMT(8) {
 		t.Fatal("SMT8 model must expose SMT8")
+	}
+}
+
+// TestPortabilityBenchmarksResolve checks that every portability benchmark
+// is in the workload library and that both portability rows plot that
+// list on the SMT8 system, reading the metric at SMT8.
+func TestPortabilityBenchmarksResolve(t *testing.T) {
+	for _, b := range PortabilityBenchmarks {
+		if _, err := workload.Get(b); err != nil {
+			t.Error(err)
+		}
+	}
+	for _, f := range []Figure{smt8v1, smt8v4} {
+		if f.Sys.Name != SMT8OneChip.Name || f.MetricAt != 8 || f.Hi != 8 {
+			t.Errorf("%s: system %s, metric @SMT%d, hi SMT%d; want %s, 8, 8", f.ID, f.Sys.Name, f.MetricAt, f.Hi, SMT8OneChip.Name)
+		}
+		if !slices.Equal(f.Benches, PortabilityBenchmarks) {
+			t.Errorf("%s plots %v, want PortabilityBenchmarks", f.ID, f.Benches)
+		}
 	}
 }
 
