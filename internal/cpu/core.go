@@ -261,7 +261,8 @@ type Core struct {
 	rrFirst []int
 
 	// Stage bounds (DESIGN.md §6). A stage with nothing to do returns at
-	// once: issueAt is at most every queue's max(nextReady, busyUntil),
+	// once, and the event engine's step reads the core's next event off
+	// them: issueAt is at most every queue's max(nextReady, busyUntil),
 	// retireAt is at most the completeAt of every context's issued head,
 	// and dispBlocked means the last dispatch moved nothing while it held a
 	// buffered context, which stays so until a retire, issue or fetch.
@@ -276,11 +277,12 @@ type Core struct {
 	classPorts [isa.NumClasses][]uint8
 
 	// Event-engine bookkeeping (see engine.go). lastStepped is the last
-	// cycle this core actually stepped; nextEvent is the earliest future
-	// cycle at which stepping it could change state; busyEnd and idleProbe
-	// cache the end-of-step anyBusy and probed-idle conditions. idleExact
-	// is set when every probed-idle context reports ExactIdle, so the run
-	// loop may skip the per-cycle re-probe and follow wake hints instead.
+	// cycle this core actually stepped; nextEvent is at most the earliest
+	// future cycle at which stepping it could change state; busyEnd and
+	// idleProbe cache the end-of-step anyBusy and probed-idle conditions.
+	// idleExact is set when every probed-idle context reports ExactIdle, so
+	// the run loop may skip the per-cycle re-probe and follow wake hints
+	// instead.
 	lastStepped int64
 	nextEvent   int64
 	busyEnd     bool

@@ -17,13 +17,14 @@ import (
 //
 //  1. A core whose next-event cycle is in the future executes only no-op
 //     steps until then: nothing retires, issues, dispatches or fetches, so
-//     skipping those steps changes no microarchitectural state. The issue
-//     events this relies on are exact: a queued ref's ready cycle is the
-//     latest completeAt of its producers once they have all issued, and
-//     unknownCycle until the last of them issues and wakes it; each
-//     queue's nextReady is the smallest ready cycle in the queue. A
-//     completeAt never changes after issue, and a waited-on producer's
-//     slot is never refilled (see setSMT).
+//     skipping those steps changes no microarchitectural state. step reads
+//     the next-event cycle off the stage bounds, which are never later
+//     than the events they bound. The issue events behind issueAt are
+//     exact: a queued ref's ready cycle is the latest completeAt of its
+//     producers once they have all issued, and unknownCycle until the last
+//     of them issues and wakes it; each queue's nextReady is the smallest
+//     ready cycle in the queue. A completeAt never changes after issue, and
+//     a waited-on producer's slot is never refilled (see setSMT).
 //  2. A probed-idle context (its source returned FetchIdle) can be woken
 //     externally by another thread's progress — a lock grant or barrier
 //     release happens inside the *holder's* Fetch. While any context in
@@ -257,13 +258,20 @@ func (m *Machine) macroStep(from, span int64) {
 // bookkeeping. It returns the number of contexts that finished this cycle.
 //
 // The end-of-cycle bookkeeping (busy accounting, finish detection, the
-// busyEnd/idleProbe/idleExact caches and the fetch-eligibility fast path
-// of computeNextEvent) is folded into one pass over the contexts: this is
-// the hot loop of every stepped cycle, and the separate
-// endCycle+anyBusy+probe-scan passes the scan engine runs cost the event
-// engine its edge on compute-bound cells. The per-context conditions are
-// the same ones endCycle and anyBusy apply — the equivalence suite holds
-// both engines to identical simulations.
+// busyEnd/idleProbe/idleExact caches and the next event) is folded into one
+// pass over the contexts: this is the hot loop of every stepped cycle, and
+// the separate endCycle+anyBusy+probe-scan passes the scan engine runs cost
+// the event engine its edge on compute-bound cells. The per-context
+// conditions are the same ones endCycle and anyBusy apply — the
+// equivalence suite holds both engines to identical simulations.
+//
+// The next event is read off the stage bounds: the earliest of issueAt,
+// retireAt, the fetch-stall expiry of every context that may fetch and was
+// not probed idle (invariant 2 leaves those to the run loop), and the next
+// cycle when a context holds buffered instructions while dispatch is not
+// blocked, floored at the next cycle. A bound may be too low but never too
+// high: a low one only costs a step on which no stage acts, the kind of
+// step the scan engine takes every cycle, so no simulated event moves.
 func (c *Core) step(now int64) int {
 	c.stepRetire(now)
 	c.stepIssue(now)
@@ -273,7 +281,7 @@ func (c *Core) step(now int64) int {
 	busy := false
 	idleProbe := false
 	idleExact := true
-	hot := false
+	next := min(c.issueAt, c.retireAt)
 	for i := 0; i < c.used; i++ {
 		ctx := c.contexts[i]
 		if ctx.finished {
@@ -306,44 +314,26 @@ func (c *Core) step(now int64) int {
 			if ctx.exact == nil || !ctx.exact.ExactIdle() {
 				idleExact = false
 			}
-		} else if !hot {
-			// Fast paths mirroring computeNextEvent's own now+1 early
-			// returns: a context that is fetch-eligible, dispatch-ready or
-			// retiring next cycle makes that call's answer now+1, so skip
-			// it. These are exactly its fetch/dispatch/retire conditions;
-			// the issue-event case stays on the slow path, which reads the
-			// port queues after the context loop.
-			switch {
-			case !ctx.done && !ctx.fetchBlocked && ctx.fbLen < fetchBufCap &&
-				ctx.fetchStallUntil <= now+1:
-				hot = true
-			case ctx.fbLen > 0 && ctx.windowLen() < c.windowPerCtx &&
-				c.pickPort(ctx.fetchBuf[ctx.fbHead].Class) >= 0:
-				hot = true
-			case ctx.head < ctx.tail:
-				if e := &ctx.entries[ctx.head&histMask]; e.state == entryIssued && e.completeAt <= now+1 {
-					hot = true
-				}
-			}
+		} else if !ctx.done && !ctx.fetchBlocked && ctx.fbLen < fetchBufCap {
+			next = min(next, ctx.fetchStallUntil)
+		}
+		if ctx.fbLen > 0 && !c.dispBlocked {
+			next = min(next, now+1)
 		}
 	}
 	c.lastStepped = now
 	c.busyEnd = busy
 	c.idleProbe = idleProbe
 	c.idleExact = idleProbe && idleExact
-	if hot {
-		c.nextEvent = now + 1
-	} else {
-		c.nextEvent = c.computeNextEvent(now)
-	}
+	c.nextEvent = max(now+1, next)
 	return finished
 }
 
-// exactWake returns the earliest cycle any probed-idle context on c could
-// become runnable according to its exact wake hints, floored to now+1.
-// Only meaningful when c.idleExact holds (every probed-idle context has an
-// ExactWaker).
-func (c *Core) exactWake(now int64) int64 {
+// idleWake returns the earliest wake hint of the core's probed-idle
+// contexts, now+1 for a source that offers none, and neverEvent when no
+// context was probed idle. A hint may lie at or before now: callers floor
+// it at now+1 or compare it with now.
+func (c *Core) idleWake(now int64) int64 {
 	w := int64(neverEvent)
 	for i := 0; i < c.used; i++ {
 		ctx := c.contexts[i]
@@ -351,88 +341,12 @@ func (c *Core) exactWake(now int64) int64 {
 			continue
 		}
 		h := now + 1
-		if hint := ctx.exact.WakeHint(now); hint > h {
-			h = hint
+		if ctx.waker != nil {
+			h = ctx.waker.WakeHint(now)
 		}
-		if h < w {
-			w = h
-		}
+		w = min(w, h)
 	}
 	return w
-}
-
-// exactDue reports whether any probed-idle context on c is runnable at now
-// per its exact wake hint. Only meaningful when c.idleExact holds. It is
-// evaluated at the top of each scheduling round, so a hint moved by a lock
-// grant in an earlier round is always seen before the clock passes it.
-func (c *Core) exactDue(now int64) bool {
-	for i := 0; i < c.used; i++ {
-		ctx := c.contexts[i]
-		if ctx.finished || !ctx.sawIdleThisCycle {
-			continue
-		}
-		if ctx.exact.WakeHint(now) <= now {
-			return true
-		}
-	}
-	return false
-}
-
-// computeNextEvent returns the earliest future cycle at which stepping the
-// core could change its state, evaluated on the state left by a step at
-// cycle now. It is a sound lower bound: cycles strictly before the returned
-// value are provable no-ops (probed-idle contexts excepted — the run loop
-// pins those to 1-cycle stepping while the machine is busy).
-func (c *Core) computeNextEvent(now int64) int64 {
-	next := int64(neverEvent)
-	for i := 0; i < c.used; i++ {
-		ctx := c.contexts[i]
-		if ctx.finished {
-			continue
-		}
-		// Fetch: a fetch-eligible context must be probed next cycle. A
-		// probed-idle context is excluded here — its wake is handled by the
-		// run loop (invariant 2 above).
-		if !ctx.done && !ctx.fetchBlocked && ctx.fbLen < fetchBufCap && !ctx.sawIdleThisCycle {
-			if ctx.fetchStallUntil > now+1 {
-				if ctx.fetchStallUntil < next {
-					next = ctx.fetchStallUntil
-				}
-			} else {
-				return now + 1
-			}
-		}
-		// Dispatch: the buffered head can enter the window next cycle.
-		if ctx.fbLen > 0 && ctx.windowLen() < c.windowPerCtx &&
-			c.pickPort(ctx.fetchBuf[ctx.fbHead].Class) >= 0 {
-			return now + 1
-		}
-		// Retire: the oldest in-flight instruction completes. A waiting
-		// head is covered by the issue events below.
-		if ctx.head < ctx.tail {
-			e := &ctx.entries[ctx.head&histMask]
-			if e.state == entryIssued {
-				if e.completeAt <= now+1 {
-					return now + 1
-				}
-				if e.completeAt < next {
-					next = e.completeAt
-				}
-			}
-		}
-	}
-	// Issue: a queue's first issue is at its nextReady, the smallest ready
-	// cycle in it (unknownCycle, which is neverEvent, when it is empty or
-	// every ref waits on a producer), and no earlier than its busy window.
-	for p := range c.ports {
-		q := &c.ports[p]
-		ev := max(q.nextReady, q.busyUntil)
-		if ev <= now+1 {
-			return now + 1
-		}
-		next = min(next, ev)
-	}
-	return next
 }
 
 // fastForward applies the per-cycle bookkeeping the scan engine would have
@@ -544,7 +458,7 @@ func (m *Machine) runEvent(ctx context.Context, remaining int, deadline int64) (
 		died := false
 		next := int64(neverEvent)
 		for _, c := range m.live {
-			if c.nextEvent <= m.now || (c.idleExact && c.exactDue(m.now)) {
+			if c.nextEvent <= m.now || (c.idleExact && c.idleWake(m.now) <= m.now) {
 				if k := m.now - 1 - c.lastStepped; k > 0 {
 					c.fastForward(c.lastStepped, k)
 				}
@@ -598,12 +512,10 @@ func (m *Machine) runEvent(ctx context.Context, remaining int, deadline int64) (
 					}
 					if c.idleExact {
 						// Invariant 2, exact form: skip the re-probes and
-						// wake with the hint. Not cached in nextEvent — a
-						// grant may move the hint, so every round re-reads
-						// it fresh.
-						if w := c.exactWake(m.now); w < next {
-							next = w
-						}
+						// wake with the hint, which the clock advance below
+						// floors. Not cached in nextEvent — a grant may move
+						// the hint, so every round re-reads it fresh.
+						next = min(next, c.idleWake(m.now))
 					} else {
 						// Invariant 2: keep re-probing probe-sensitive idle
 						// sources every cycle while anything in the machine
@@ -621,38 +533,15 @@ func (m *Machine) runEvent(ctx context.Context, remaining int, deadline int64) (
 			// The whole machine is idle: no external wake can occur, so
 			// jump to the earliest hardware event or wake hint.
 			m.hotStreak = 0
-			hard := next
 			hint := int64(neverEvent)
 			for _, c := range m.live {
-				if !c.idleProbe {
-					continue
-				}
-				for i := 0; i < c.used; i++ {
-					cc := c.contexts[i]
-					if cc.finished || !cc.sawIdleThisCycle {
-						continue
-					}
-					h := m.now + 1
-					if cc.waker != nil {
-						if wh := cc.waker.WakeHint(m.now); wh > h {
-							h = wh
-						}
-					}
-					if h < hint {
-						hint = h
-					}
-				}
+				hint = min(hint, c.idleWake(m.now))
 			}
-			if hard == neverEvent {
-				// Pure sleep: the scan engine's idleSkip jumps the clock
-				// without stepping — credit pending skips, then freeze.
-				next = hint
-				if next <= m.now {
-					next = m.now + 1
-				}
-				if next > deadline {
-					next = deadline
-				}
+			if next == neverEvent {
+				// Pure sleep, no hardware event pending: the scan engine's
+				// idleSkip jumps the clock without stepping — credit
+				// pending skips, then freeze.
+				next = min(max(hint, m.now+1), deadline)
 				// Every core freezes, finished ones included: the exit
 				// settle must not rotate them through the frozen stretch.
 				m.settleCores(m.now)
@@ -665,16 +554,7 @@ func (m *Machine) runEvent(ctx context.Context, remaining int, deadline int64) (
 				m.now = next
 				continue
 			}
-			next = hard
-			if hint < next {
-				next = hint
-			}
-			if next <= m.now {
-				next = m.now + 1
-			}
-			if next > deadline {
-				next = deadline
-			}
+			next = min(max(min(next, hint), m.now+1), deadline)
 			// The scan engine steps every core at the cycle an idle
 			// stretch ends, and a waking thread's first probe can act on
 			// state another core changes that same cycle (a barrier pass),
@@ -685,13 +565,7 @@ func (m *Machine) runEvent(ctx context.Context, remaining int, deadline int64) (
 			m.now = next
 			continue
 		}
-		if next <= m.now {
-			next = m.now + 1
-		}
-		if next > deadline {
-			next = deadline
-		}
-		m.now = next
+		m.now = min(max(next, m.now+1), deadline)
 	}
 	m.settleCores(m.now - 1)
 	return m.now - start, nil
