@@ -71,11 +71,9 @@ type MemConfig struct {
 	MemLat              int
 	// MemCyclesPerLine is the reciprocal bandwidth of the shared memory
 	// channel: a new cache line can begin transfer every this many cycles.
-	// Concurrent misses beyond the bandwidth queue behind each other.
+	// Concurrent misses beyond the bandwidth queue behind each other, and
+	// the queueing delay is uncapped.
 	MemCyclesPerLine int
-	// MemMaxQueue caps the modelled queueing delay (in lines) so that a
-	// pathological burst cannot push latencies to absurd values.
-	MemMaxQueue int
 }
 
 // Desc is a complete architecture description.
@@ -227,7 +225,7 @@ func (m *MemConfig) validate(name string) error {
 	if m.L1Lat <= 0 || m.L2Lat <= m.L1Lat || m.L3Lat <= m.L2Lat || m.MemLat <= m.L3Lat {
 		return fmt.Errorf("arch %s: cache latencies must increase by level", name)
 	}
-	if m.MemCyclesPerLine <= 0 || m.MemMaxQueue <= 0 {
+	if m.MemCyclesPerLine <= 0 {
 		return fmt.Errorf("arch %s: memory bandwidth parameters non-positive", name)
 	}
 	return nil
@@ -318,7 +316,6 @@ func POWER7() *Desc {
 			L3Size: 32 << 20, L3Ways: 16,
 			L1Lat: 2, L2Lat: 8, L3Lat: 27, MemLat: 230,
 			MemCyclesPerLine: 4,
-			MemMaxQueue:      96,
 		},
 
 		MixTerms: []MixTerm{
@@ -397,7 +394,6 @@ func Nehalem() *Desc {
 			L3Size: 8 << 20, L3Ways: 16,
 			L1Lat: 4, L2Lat: 10, L3Lat: 38, MemLat: 200,
 			MemCyclesPerLine: 5,
-			MemMaxQueue:      64,
 		},
 
 		MixTerms: []MixTerm{

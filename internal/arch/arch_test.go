@@ -211,7 +211,6 @@ func TestValidateMemConfig(t *testing.T) {
 		func(d *Desc) { d.Mem.LineSize = 100 },       // not a power of two
 		func(d *Desc) { d.Mem.L1Size = 3 * 128 * 8 }, // three sets: not a power of two
 		func(d *Desc) { d.Mem.MemCyclesPerLine = 0 }, // no bandwidth
-		func(d *Desc) { d.Mem.MemMaxQueue = 0 },      // no queue
 		func(d *Desc) { d.Mem.L2Lat = d.Mem.L1Lat },  // non-increasing
 		func(d *Desc) { d.Mem.MemLat = d.Mem.L3Lat }, // non-increasing
 		func(d *Desc) { d.Mem.L3Ways = 0 },           // no ways

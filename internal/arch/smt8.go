@@ -57,7 +57,6 @@ func GenericSMT8() *Desc {
 			L3Size: 64 << 20, L3Ways: 16,
 			L1Lat: 3, L2Lat: 12, L3Lat: 30, MemLat: 220,
 			MemCyclesPerLine: 3,
-			MemMaxQueue:      128,
 		},
 
 		MixTerms: []MixTerm{

@@ -75,7 +75,7 @@ func NewMachine(d *arch.Desc, numChips int) (*Machine, error) {
 		chip := &Chip{
 			machine: m,
 			l3:      mem.NewCache(d.Mem.L3Size, d.Mem.L3Ways, d.Mem.LineSize),
-			dram:    mem.NewDRAM(d.Mem.MemLat, d.Mem.MemCyclesPerLine, d.Mem.MemMaxQueue),
+			dram:    mem.NewDRAM(d.Mem.MemLat, d.Mem.MemCyclesPerLine),
 		}
 		for k := 0; k < d.CoresPerChip; k++ {
 			core := newCore(d, chip)

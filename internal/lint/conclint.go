@@ -16,21 +16,22 @@ import (
 //     sync.WaitGroup it signals. A goroutine with none of those can
 //     outlive its parent silently, which is exactly the leak the drain
 //     and zero-goroutine-leak chaos checks exist to rule out.
-//   - lock discipline (the lockScope packages below):
-//     sync.Mutex / sync.RWMutex values must not be copied (parameters,
-//     receivers, results, plain assignments, range values), and every
-//     Lock()/RLock() must release on all paths: either a matching
-//     deferred unlock, or an inline unlock with no return statement
-//     between acquisition and release (the hand-over-hand idiom stays
-//     legal; leaking the lock on an early return does not).
+//   - lock discipline (the lockScope packages below): every Lock()/RLock()
+//     must release on all paths: either a matching deferred unlock, or an
+//     inline unlock with no return statement between acquisition and
+//     release (the hand-over-hand idiom stays legal; leaking the lock on
+//     an early return does not).
+//
+// Copying a lock-bearing value is go vet's copylocks check, which the lint
+// stage of scripts/ci.sh runs on every package.
 var Conclint = &Analyzer{
 	Name: "conclint",
-	Doc:  "goroutines need a ctx/channel/WaitGroup escape path; mutexes must not be copied and must unlock on every path",
+	Doc:  "goroutines need a ctx/channel/WaitGroup escape path; every Lock/RLock must unlock on every path",
 	Run:  runConclint,
 }
 
 // lockScope lists the packages whose locks guard the serving path; the
-// copy and unlock disciplines are enforced there. internal/workload builds
+// unlock discipline is enforced there. internal/workload builds
 // every probe's instruction streams, internal/placement joined when
 // /v1/place put pair co-simulation on the serving path, and internal/httpx
 // when the daemons' shared middleware took the access-log mutex.
@@ -73,16 +74,7 @@ func runConclint(p *Pass) {
 				}
 			case *ast.FuncDecl:
 				if locks && n.Body != nil {
-					p.checkLockCopies(n)
 					p.checkUnlockPaths(n.Body)
-				}
-			case *ast.AssignStmt:
-				if locks {
-					p.checkAssignCopiesLock(n)
-				}
-			case *ast.RangeStmt:
-				if locks {
-					p.checkRangeCopiesLock(n)
 				}
 			}
 			return true
@@ -171,100 +163,6 @@ func (p *Pass) isSyncType(e ast.Expr, name string) bool {
 	}
 	obj := named.Obj()
 	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == name
-}
-
-// lockPath reports how a type embeds a lock by value: "sync.Mutex" for
-// the lock types themselves, or "T (contains sync.Mutex)" for structs
-// carrying one; "" when the type holds no lock.
-func lockPath(t types.Type, depth int) string {
-	if t == nil || depth > 6 {
-		return ""
-	}
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond":
-				return "sync." + obj.Name()
-			}
-		}
-		if inner := lockPath(named.Underlying(), depth+1); inner != "" {
-			if strings.HasPrefix(inner, "sync.") {
-				return obj.Name() + " (contains " + inner + ")"
-			}
-			return inner
-		}
-		return ""
-	}
-	if st, ok := t.(*types.Struct); ok {
-		for i := 0; i < st.NumFields(); i++ {
-			if inner := lockPath(st.Field(i).Type(), depth+1); inner != "" {
-				return inner
-			}
-		}
-	}
-	return ""
-}
-
-// checkLockCopies flags function signatures that move a lock by value:
-// receivers, parameters and results.
-func (p *Pass) checkLockCopies(fn *ast.FuncDecl) {
-	report := func(field *ast.Field, role string) {
-		t := p.TypeOf(field.Type)
-		if _, isPtr := field.Type.(*ast.StarExpr); isPtr {
-			return
-		}
-		if path := lockPath(t, 0); path != "" {
-			p.Reportf(field.Pos(), "%s passes %s by value: copying a held lock detaches it from its owner", role, path)
-		}
-	}
-	if fn.Recv != nil {
-		for _, f := range fn.Recv.List {
-			report(f, "receiver of "+fn.Name.Name)
-		}
-	}
-	if fn.Type.Params != nil {
-		for _, f := range fn.Type.Params.List {
-			report(f, "parameter of "+fn.Name.Name)
-		}
-	}
-	if fn.Type.Results != nil {
-		for _, f := range fn.Type.Results.List {
-			report(f, "result of "+fn.Name.Name)
-		}
-	}
-}
-
-// checkAssignCopiesLock flags plain value copies of lock-bearing values:
-// `x := s.mu` or `g := *grp`. Fresh composite literals and constructor
-// calls are fine — they are how such values are born.
-func (p *Pass) checkAssignCopiesLock(assign *ast.AssignStmt) {
-	if len(assign.Lhs) != len(assign.Rhs) {
-		return
-	}
-	for i, rhs := range assign.Rhs {
-		// Discarding into the blank identifier copies into nothing.
-		if id, ok := assign.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-			continue
-		}
-		switch rhs.(type) {
-		case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-			if path := lockPath(p.TypeOf(rhs), 0); path != "" {
-				p.Reportf(assign.Pos(), "assignment copies %s by value: share it through a pointer", path)
-			}
-		}
-	}
-}
-
-// checkRangeCopiesLock flags `for _, v := range xs` where the element
-// value copies a lock.
-func (p *Pass) checkRangeCopiesLock(rng *ast.RangeStmt) {
-	if rng.Value == nil {
-		return
-	}
-	if path := lockPath(p.TypeOf(rng.Value), 0); path != "" {
-		p.Reportf(rng.Value.Pos(), "range value copies %s per iteration: iterate by index or over pointers", path)
-	}
 }
 
 // lockCall describes one Lock/RLock or Unlock/RUnlock call site.

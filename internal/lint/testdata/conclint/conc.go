@@ -62,38 +62,6 @@ func suppressedLeak() {
 	}()
 }
 
-// Copy hazards.
-
-func byValue(s store) {} // want conclint "passes store (contains sync.Mutex) by value"
-
-func (s store) valueReceiver() {} // want conclint "receiver of valueReceiver passes store (contains sync.Mutex) by value"
-
-func assignCopy(s *store) {
-	local := *s // want conclint "assignment copies store (contains sync.Mutex) by value"
-	_ = local
-}
-
-func rangeCopy(all []store) {
-	for _, s := range all { // want conclint "range value copies store (contains sync.Mutex) per iteration"
-		_ = s
-	}
-}
-
-// Pointer flavors of the same shapes: clean.
-func byPointer(s *store)          {}
-func (s *store) pointerReceiver() {}
-func rangeByIndex(all []*store) {
-	for i := range all {
-		_ = all[i]
-	}
-}
-
-// Constructing a fresh value is how lock-bearing values are born: clean.
-func construct() *store {
-	s := store{data: map[string]int{}}
-	return &s
-}
-
 // Unlock discipline.
 
 func (s *store) deferred() int {

@@ -25,7 +25,7 @@ func BenchmarkCacheAccessRandom(b *testing.B) {
 }
 
 func BenchmarkDRAMAccess(b *testing.B) {
-	d := NewDRAM(230, 4, 96)
+	d := NewDRAM(230, 4)
 	addr := uint64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -39,7 +39,7 @@ func BenchmarkPathAccess(b *testing.B) {
 		L1:    NewCache(32<<10, 8, 128),
 		L2:    NewCache(256<<10, 8, 128),
 		L3:    NewCache(4<<20, 16, 128),
-		Mem:   NewDRAM(230, 4, 96),
+		Mem:   NewDRAM(230, 4),
 		L1Lat: 2, L2Lat: 8, L3Lat: 27,
 	}
 	rng := xrand.New(2)

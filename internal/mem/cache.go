@@ -162,7 +162,8 @@ func (c *Cache) Reset() {
 // bandwidth, and a banked row-buffer. A line transfer costs CyclesPerLine
 // channel cycles when it hits the open row of its bank and RowMissFactor
 // times that when it opens a new row. Misses that arrive faster than the
-// channel drains queue behind each other, up to MaxQueue lines of backlog.
+// channel drains queue behind each other, and the queueing delay is
+// uncapped.
 //
 // The row-buffer model is what makes bandwidth-bound workloads degrade at
 // higher SMT levels without any hard-coded penalty: more concurrent access
@@ -174,8 +175,6 @@ type DRAM struct {
 	BaseLat int
 	// CyclesPerLine is the row-hit reciprocal bandwidth.
 	CyclesPerLine int
-	// MaxQueue bounds the modelled backlog, in lines.
-	MaxQueue int
 	// RowMissFactor multiplies the transfer cost when a new row opens.
 	RowMissFactor int
 
@@ -196,11 +195,11 @@ const (
 )
 
 // NewDRAM builds a channel with the given parameters.
-func NewDRAM(baseLat, cyclesPerLine, maxQueue int) *DRAM {
-	if baseLat <= 0 || cyclesPerLine <= 0 || maxQueue <= 0 {
+func NewDRAM(baseLat, cyclesPerLine int) *DRAM {
+	if baseLat <= 0 || cyclesPerLine <= 0 {
 		panic("mem: non-positive DRAM parameters")
 	}
-	return &DRAM{BaseLat: baseLat, CyclesPerLine: cyclesPerLine, MaxQueue: maxQueue, RowMissFactor: 3}
+	return &DRAM{BaseLat: baseLat, CyclesPerLine: cyclesPerLine, RowMissFactor: 3}
 }
 
 // Access reserves a transfer slot for addr's line at cycle now and returns
@@ -233,19 +232,6 @@ func (d *DRAM) Access(now int64, addr uint64) int {
 	d.StallCycles += uint64(queue)
 	d.Lines++
 	return d.BaseLat + int(queue)
-}
-
-// Backlog returns the queueing delay, in cycles, a new access arriving at
-// cycle now would currently observe.
-func (d *DRAM) Backlog(now int64) int64 {
-	if d.nextFree <= now {
-		return 0
-	}
-	b := d.nextFree - now
-	if max := int64(d.MaxQueue) * int64(d.CyclesPerLine); b > max {
-		b = max
-	}
-	return b
 }
 
 // Reset clears channel state and counters.

@@ -140,14 +140,14 @@ func TestCacheCounterBalance(t *testing.T) {
 }
 
 func TestDRAMUnloadedLatency(t *testing.T) {
-	d := NewDRAM(200, 4, 64)
+	d := NewDRAM(200, 4)
 	if lat := d.Access(0, 0); lat != 200 {
 		t.Fatalf("first access latency %d, want 200 (no queue)", lat)
 	}
 }
 
 func TestDRAMQueueing(t *testing.T) {
-	d := NewDRAM(200, 4, 64)
+	d := NewDRAM(200, 4)
 	// Same-row accesses issued in the same cycle queue at 4 cycles/line
 	// after the first (which opens the row at 3x cost).
 	d.Access(0, 0)
@@ -157,18 +157,8 @@ func TestDRAMQueueing(t *testing.T) {
 	}
 }
 
-func TestDRAMBacklogCapped(t *testing.T) {
-	d := NewDRAM(200, 4, 8)
-	for i := 0; i < 1000; i++ {
-		d.Access(0, uint64(i*64))
-	}
-	if b := d.Backlog(0); b > int64(8*4) {
-		t.Fatalf("backlog %d exceeds cap %d", b, 8*4)
-	}
-}
-
 func TestDRAMRowLocality(t *testing.T) {
-	d := NewDRAM(200, 4, 64)
+	d := NewDRAM(200, 4)
 	// Sequential lines within one 4 KiB row: only the first line should
 	// open a row.
 	for i := uint64(0); i < 32; i++ {
@@ -191,7 +181,7 @@ func TestDRAMInterleavedStreamsLoseRowLocality(t *testing.T) {
 	// The mechanism behind SMT-degrading bandwidth workloads: interleaving
 	// more sequential streams produces more row misses per line.
 	missRate := func(streams int) float64 {
-		d := NewDRAM(200, 4, 64)
+		d := NewDRAM(200, 4)
 		cursors := make([]uint64, streams)
 		for s := range cursors {
 			// Spread stream origins across banks, far enough apart that
@@ -215,7 +205,7 @@ func TestDRAMInterleavedStreamsLoseRowLocality(t *testing.T) {
 }
 
 func TestDRAMReset(t *testing.T) {
-	d := NewDRAM(100, 4, 16)
+	d := NewDRAM(100, 4)
 	d.Access(0, 0)
 	d.Reset()
 	if d.Lines != 0 || d.StallCycles != 0 || d.RowMissLines != 0 {
@@ -231,7 +221,7 @@ func TestPathLevels(t *testing.T) {
 		L1:    NewCache(1<<10, 2, 64),
 		L2:    NewCache(8<<10, 4, 64),
 		L3:    NewCache(64<<10, 8, 64),
-		Mem:   NewDRAM(200, 4, 64),
+		Mem:   NewDRAM(200, 4),
 		L1Lat: 2, L2Lat: 8, L3Lat: 30,
 	}
 	lat, lvl := p.Access(0x4000, 0)

@@ -84,8 +84,6 @@ type lock struct {
 	holder int32 // thread id, -1 when free
 	// waiters queues blocked thread ids (blocking locks only).
 	waiters []int32
-	// Acquisitions and Contended count lock operations.
-	acquisitions, contended uint64
 }
 
 // barrier is a sense-reversing barrier.
@@ -137,24 +135,17 @@ func (rt *Runtime) AddBarrier(kind LockKind, parties int) int {
 	return len(rt.barriers) - 1
 }
 
-// LockStats reports (acquisitions, contended acquisitions) for lock l.
-func (rt *Runtime) LockStats(l int) (uint64, uint64) {
-	return rt.locks[l].acquisitions, rt.locks[l].contended
-}
-
 // tryAcquire attempts to take lock l for thread id. On failure with a
 // blocking lock, the thread is queued (once).
 func (rt *Runtime) tryAcquire(l int, id int32, queued *bool) bool {
 	lk := &rt.locks[l]
 	if lk.holder == -1 {
 		lk.holder = id
-		lk.acquisitions++
 		return true
 	}
 	if lk.holder == id {
 		panic(fmt.Sprintf("sched: thread %d re-acquiring lock %d", id, l))
 	}
-	lk.contended++
 	if lk.kind == BlockingLock && !*queued {
 		lk.waiters = append(lk.waiters, id)
 		*queued = true
@@ -174,7 +165,6 @@ func (rt *Runtime) release(l int, id int32, now int64) {
 		copy(lk.waiters, lk.waiters[1:])
 		lk.waiters = lk.waiters[:len(lk.waiters)-1]
 		lk.holder = next
-		lk.acquisitions++
 		t := rt.threads[next]
 		t.lockGranted = true
 		t.wakeAt = now + WakeLatency

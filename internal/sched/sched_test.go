@@ -106,10 +106,6 @@ func TestUncontendedSpinLock(t *testing.T) {
 	if th.SpinInstrs != 0 {
 		t.Fatalf("%d spin instructions without contention", th.SpinInstrs)
 	}
-	acq, cont := rt.LockStats(l)
-	if acq != 1 || cont != 0 {
-		t.Fatalf("lock stats acq=%d cont=%d, want 1, 0", acq, cont)
-	}
 }
 
 func TestContendedSpinLockEmitsSpinLoop(t *testing.T) {
@@ -147,14 +143,10 @@ func TestContendedSpinLockEmitsSpinLoop(t *testing.T) {
 	// Drain the holder (releases at its last segment), then the waiter
 	// must acquire and finish.
 	drain(holder, 1000)
-	if _, _ = drain(waiter, 1000); false {
-	}
-	acq, cont := rt.LockStats(l)
-	if acq != 2 {
-		t.Fatalf("acquisitions %d, want 2", acq)
-	}
-	if cont == 0 {
-		t.Fatal("no contention recorded")
+	for now := int64(20); waiter.Fetch(now, &inst) != isa.FetchDone; now++ {
+		if now == 1000 {
+			t.Fatal("waiter never finished after the holder released the lock")
+		}
 	}
 }
 

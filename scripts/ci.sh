@@ -184,12 +184,6 @@ stage_race() {
 		./internal/server ./internal/router ./internal/httpx ./internal/report \
 		./internal/fault ./internal/controller ./internal/workload \
 		./internal/placement ./client
-	# Placement determinism, explicitly: the pair-scoring shape must match
-	# its scan referee and golden pins, and a placement must reproduce
-	# byte for byte, also under the race detector.
-	step "placement determinism under race"
-	go test -race -count=1 -run 'TestPairShapeMatchesScan|TestPlaceDeterministicAcrossRuns' \
-		./internal/cpu ./internal/placement
 }
 
 stage_fuzz() {
