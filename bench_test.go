@@ -256,13 +256,17 @@ func BenchmarkSimulatorThroughput(b *testing.B) {
 }
 
 // BenchmarkAblation runs the metric-ablation and baseline-predictor study
-// on the single-chip POWER7 set: the full SMTsm against its ablated
-// variants, the Fig. 2 naive statistics, and the IPC probe.
+// on Fig. 6's row: the full SMTsm against its ablated variants, the Fig. 2
+// naive statistics, and the IPC probe.
 func BenchmarkAblation(b *testing.B) {
-	m := campaign(experiments.P7OneChip)
+	f, err := experiments.ScatterFigure("6")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := campaign(f.Sys)
 	var res []experiments.PredictorResult
 	for i := 0; i < b.N; i++ {
-		res = experiments.AblationStudy(context.Background(), m, experiments.P7Benchmarks, 4, 1)
+		res = experiments.AblationStudy(context.Background(), m, f)
 	}
 	for _, p := range res {
 		b.Logf("%-36s %-9s accuracy %.0f%%  wrong=%v", p.Name, p.Kind, 100*p.Accuracy, p.Misclassified)

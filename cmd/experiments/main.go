@@ -362,12 +362,16 @@ func pointTable(res experiments.FigResult) *report.Table {
 	return t
 }
 
-// ablation runs the metric-ablation and baseline-predictor study on the
-// single-chip POWER7 set.
+// ablation runs the metric-ablation and baseline-predictor study on
+// Fig. 6's row.
 func (r *runner) ablation(ctx context.Context) {
-	m := r.matrix(experiments.P7OneChip)
-	r.sweep(ctx, experiments.SweepSpec{Matrix: m, Benches: experiments.P7Benchmarks, SMTs: []int{1, 4}})
-	res := experiments.AblationStudy(ctx, m, experiments.P7Benchmarks, 4, 1)
+	f, err := experiments.ScatterFigure("6")
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	r.prefetchFig(ctx, "6")
+	res := experiments.AblationStudy(ctx, r.matrix(f.Sys), f)
 	fmt.Println("== Ablation & baseline study: SMT4-vs-SMT1 preference prediction (POWER7) ==")
 	fmt.Println("(each predictor gets its best threshold and orientation)")
 	t := report.NewTable("predictor", "kind", "accuracy", "mispredicted")
@@ -378,10 +382,12 @@ func (r *runner) ablation(ctx context.Context) {
 	fmt.Println(t)
 }
 
-// portability validates the metric on the GenericSMT8 architecture.
+// portability validates the metric on the GenericSMT8 architecture,
+// sweeping the cells of its rows of the figure table.
 func (r *runner) portability(ctx context.Context) {
-	m := r.matrix(experiments.SMT8OneChip)
-	r.sweep(ctx, experiments.SweepSpec{Matrix: m, Benches: experiments.PortabilityBenchmarks, SMTs: []int{1, 4, 8}})
+	fc := experiments.SystemCells(experiments.SMT8OneChip)
+	m := r.matrix(fc.Sys)
+	r.sweep(ctx, experiments.SweepSpec{Matrix: m, Benches: fc.Benches, SMTs: fc.SMTs})
 	res := experiments.Portability(ctx, m)
 	for _, fr := range []experiments.FigResult{res.Smt8VsSmt1, res.Smt8VsSmt4} {
 		fmt.Printf("== Portability: %s ==\n", fr.Title)

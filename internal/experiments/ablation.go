@@ -83,33 +83,16 @@ func bestSplitEitherWay(pts []threshold.Point) (float64, float64, []string) {
 	return bestAcc, bestTh, bestMis
 }
 
-// statPoint builds classification observations from a per-benchmark value
-// extractor.
-func statPoints(ctx context.Context, m *Matrix, benches []string, hi, lo int, value func(*Cell) float64) []threshold.Point {
-	var pts []threshold.Point
-	for _, b := range benches {
-		c := m.Cell(ctx, b, hi)
-		if c.Err != nil {
-			continue
-		}
-		sp := m.Speedup(ctx, b, hi, lo)
-		if sp <= 0 {
-			continue
-		}
-		pts = append(pts, threshold.Point{Metric: value(c), Speedup: sp, Label: b})
-	}
-	return pts
-}
-
 // AblationStudy compares the full SMT-selection metric against its ablated
 // variants, the naive Fig. 2 statistics, an IPC-comparison probe, and the
-// oracle, classifying "does the high SMT level beat the low one" over the
-// benchmark set.
-func AblationStudy(ctx context.Context, m *Matrix, benches []string, hi, lo int) []PredictorResult {
+// oracle, classifying "does the figure's high SMT level beat its low one"
+// over the figure's benchmarks, with every statistic read at its metric
+// level. The CLI, the benchmark and the golden test run Fig. 6's row.
+func AblationStudy(ctx context.Context, m *Matrix, f Figure) []PredictorResult {
 	var out []PredictorResult
 
 	eval := func(name, kind string, value func(*Cell) float64) {
-		pts := statPoints(ctx, m, benches, hi, lo, value)
+		pts := f.points(ctx, m, value)
 		if len(pts) == 0 {
 			return
 		}
@@ -119,8 +102,8 @@ func AblationStudy(ctx context.Context, m *Matrix, benches []string, hi, lo int)
 		})
 	}
 
-	// The full metric and its ablations (measured at the high level, as
-	// the paper prescribes).
+	// The full metric and its ablations (Fig. 6 measures at the high
+	// level, as the paper prescribes).
 	eval("SMTsm (full)", "metric", func(c *Cell) float64 { return c.Metric.Value })
 	eval("mix-deviation only", "ablation", func(c *Cell) float64 { return c.Metric.MixDeviation })
 	eval("dispatch-held only", "ablation", func(c *Cell) float64 { return c.Metric.DispHeld })
@@ -147,12 +130,12 @@ func AblationStudy(ctx context.Context, m *Matrix, benches []string, hi, lo int)
 	{
 		var mis []string
 		n, ok := 0, 0
-		for _, b := range benches {
-			chi, clo := m.Cell(ctx, b, hi), m.Cell(ctx, b, lo)
+		for _, b := range f.Benches {
+			chi, clo := m.Cell(ctx, b, f.Hi), m.Cell(ctx, b, f.Lo)
 			if chi.Err != nil || clo.Err != nil {
 				continue
 			}
-			sp := m.Speedup(ctx, b, hi, lo)
+			sp := m.Speedup(ctx, b, f.Hi, f.Lo)
 			if sp <= 0 {
 				continue
 			}

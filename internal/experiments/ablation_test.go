@@ -7,9 +7,10 @@ import (
 
 func TestAblationStudyRuns(t *testing.T) {
 	skipHeavySim(t)
-	m := NewMatrix(P7OneChip, DefaultSeed)
-	subset := []string{"EP", "Blackscholes", "Stream", "SSCA2", "SPECjbb_contention", "Dedup", "Swim", "BT"}
-	res := AblationStudy(context.Background(), m, subset, 4, 1)
+	m := NewMatrix(fig6.Sys, DefaultSeed)
+	f := fig6
+	f.Benches = []string{"EP", "Blackscholes", "Stream", "SSCA2", "SPECjbb_contention", "Dedup", "Swim", "BT"}
+	res := AblationStudy(context.Background(), m, f)
 	if len(res) < 10 {
 		t.Fatalf("only %d predictors evaluated", len(res))
 	}

@@ -120,22 +120,31 @@ func (f Figure) levels() []int {
 	return slices.Compact(l)
 }
 
-// Run builds the figure from a run matrix of its system.
-func (f Figure) Run(ctx context.Context, m *Matrix) FigResult {
-	r := FigResult{ID: f.ID, Title: f.Title, MetricAt: f.MetricAt, SpeedupHi: f.Hi, SpeedupLo: f.Lo}
+// points returns one observation per benchmark of the figure whose cell at
+// MetricAt ran and whose speedup is positive: value read off that cell,
+// against the speedup.
+func (f Figure) points(ctx context.Context, m *Matrix, value func(*Cell) float64) []threshold.Point {
 	var pts []threshold.Point
 	for _, b := range f.Benches {
-		cell := m.Cell(ctx, b, f.MetricAt)
-		if cell.Err != nil {
+		c := m.Cell(ctx, b, f.MetricAt)
+		if c.Err != nil {
 			continue
 		}
 		sp := m.Speedup(ctx, b, f.Hi, f.Lo)
 		if sp <= 0 {
 			continue
 		}
-		p := FigPoint{Bench: b, Metric: cell.Metric.Value, Speedup: sp}
-		r.Points = append(r.Points, p)
-		pts = append(pts, threshold.Point{Metric: p.Metric, Speedup: p.Speedup, Label: b})
+		pts = append(pts, threshold.Point{Metric: value(c), Speedup: sp, Label: b})
+	}
+	return pts
+}
+
+// Run builds the figure from a run matrix of its system.
+func (f Figure) Run(ctx context.Context, m *Matrix) FigResult {
+	r := FigResult{ID: f.ID, Title: f.Title, MetricAt: f.MetricAt, SpeedupHi: f.Hi, SpeedupLo: f.Lo}
+	pts := f.points(ctx, m, func(c *Cell) float64 { return c.Metric.Value })
+	for _, p := range pts {
+		r.Points = append(r.Points, FigPoint{Bench: p.Label, Metric: p.Metric, Speedup: p.Speedup})
 	}
 	if th, acc, mis, err := threshold.BestAccuracySplit(pts); err == nil {
 		r.Threshold = th
@@ -364,24 +373,29 @@ type FigureCells struct {
 	SMTs    []int
 }
 
+// SystemCells returns the cells the rows of Figures on sys read: the union
+// of their benchmarks, in row order, at the union of their levels.
+func SystemCells(sys System) FigureCells {
+	fc := FigureCells{Sys: sys}
+	for _, f := range Figures {
+		if f.Sys.Name == sys.Name {
+			fc.Benches = union(fc.Benches, f.Benches)
+			fc.SMTs = append(fc.SMTs, f.levels()...)
+		}
+	}
+	slices.Sort(fc.SMTs)
+	fc.SMTs = slices.Compact(fc.SMTs)
+	return fc
+}
+
 // AllFigureCells returns the cell sets that cover every table and figure of
 // the paper — the full measurement campaign, deduplicated per system so a
 // parallel sweep fills each cell exactly once. Each of the paper's systems
-// gets the union of its rows of Figures, in row order; Figs. 1 and 7 read
-// a subset of Fig. 6's cells.
+// gets SystemCells; Figs. 1 and 7 read a subset of Fig. 6's cells.
 func AllFigureCells() []FigureCells {
 	var out []FigureCells
 	for _, sys := range []System{P7OneChip, I7OneChip, P7TwoChip} {
-		fc := FigureCells{Sys: sys}
-		for _, f := range Figures {
-			if f.Sys.Name == sys.Name {
-				fc.Benches = union(fc.Benches, f.Benches)
-				fc.SMTs = append(fc.SMTs, f.levels()...)
-			}
-		}
-		slices.Sort(fc.SMTs)
-		fc.SMTs = slices.Compact(fc.SMTs)
-		out = append(out, fc)
+		out = append(out, SystemCells(sys))
 	}
 	return out
 }

@@ -111,5 +111,7 @@ func TestGoldenFigures(t *testing.T) {
 	}
 
 	// The ablation table rides on the already-computed P7 cells.
-	golden.Assert(t, "ablation", AblationStudy(context.Background(), p7, goldenP7, 4, 1))
+	ablation := fig6
+	ablation.Benches = goldenP7
+	golden.Assert(t, "ablation", AblationStudy(context.Background(), p7, ablation))
 }
