@@ -34,8 +34,8 @@ const branchSites = 8
 // derived from (spec, threadID) once at compile time, plus the thread's
 // generator seed. One genTables value is shared — strictly read-only — by
 // every blockGen stamped from the same compiled Program, which is what lets
-// a Cache hand one Program to many concurrent instantiations. Nothing in
-// this struct may be written after newGenTables returns.
+// one Program serve many concurrent instantiations. Nothing in this struct
+// may be written after newGenTables returns.
 //
 // Every probability is held as its xrand.Threshold, so a draw is an
 // integer compare that answers as Float64() < p would on the same draw:
